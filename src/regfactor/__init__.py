@@ -25,7 +25,9 @@ from .minors import (
     characteristic_matrix,
     enumerate_extremal,
     is_extremal,
+    minor_degree,
     minor_lambda,
+    minor_top,
     phi_matrix,
     shift_spec,
 )

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .diagram import build_diagram
 from .errors import BudgetError, ConstructionError, InputError
 from .invariants import all_invariants
-from .minors import characteristic_matrix, enumerate_extremal, minor_lambda
+from .minors import characteristic_matrix, enumerate_extremal, minor_degree
 from .roots import RegularIdeal, close_ideal
 from .verify import full_report, oracle_invariants, skew_rank_stats
 from .weyl import column_max_permutation, inversions, reflection_product
@@ -47,7 +47,7 @@ def load_problem(path: str, strict: bool = False) -> RegularIdeal:
     if "n" not in doc or "ideal_generators" not in doc:
         raise InputError('problem file needs "n" and "ideal_generators"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f'"n" must be a positive integer, got {n!r}')
     generators = doc["ideal_generators"]
     if not isinstance(generators, list):
@@ -132,12 +132,11 @@ def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
     matrix = characteristic_matrix(ideal)
     entries = []
     for spec in specs:
-        value = minor_lambda(matrix, spec)
         entries.append(
             {
                 "rows": list(spec.rows),
                 "cols": list(spec.cols),
-                "degree": value.degree,
+                "degree": minor_degree(matrix, spec),
                 "extremal": True,
             }
         )

@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import weyl
-from .diagram import build_diagram
+from .diagram import Diagram, build_diagram
 from .errors import ConstructionError
-from .minors import (
-    CharMatrix,
-    MinorSpec,
-    characteristic_matrix,
-    is_extremal,
-    minor_lambda,
-)
-from .poly import LambdaPolynomial, Polynomial
+from .minors import CharMatrix, MinorSpec, characteristic_matrix, is_extremal, minor_top
+from .poly import Polynomial
 from .roots import RegularIdeal, Root
 
 case_of = weyl.case_of
@@ -50,13 +44,13 @@ def minor_support(n: int, crosses: Sequence[Root], xi: Root) -> MinorSpec:
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """Everything computed for one cross: minor, degree, and invariant."""
+    """Everything computed for one cross: minor support, degree, and
+    invariant (the minor's highest coefficient)."""
 
     xi: Root
     case: int
     h: int
     spec: MinorSpec
-    minor: LambdaPolynomial
     degree: int
     invariant: Polynomial
     d_star: Optional[int]
@@ -97,13 +91,10 @@ def invariant_for(
     spec = minor_support(n, crosses, xi)
     if matrix is None:
         matrix = characteristic_matrix(ideal)
-    minor = minor_lambda(matrix, spec)
-    if minor.is_zero:
+    degree, top = minor_top(matrix, spec)
+    if degree < 0:
         raise ConstructionError(f"characteristic minor of {xi} vanishes")
-    degree = minor.degree
-    invariant = minor.leading().normalize_sign()
-    if invariant.is_zero:
-        raise ConstructionError(f"highest coefficient of {xi} vanishes")
+    invariant = top.normalize_sign()
     d_star: Optional[int] = None
     if case == 1:
         if degree != 0:
@@ -115,14 +106,13 @@ def invariant_for(
             raise ConstructionError(
                 f"minor of {xi} has degree {degree}, segment data predicts {d_star}"
             )
-    if not is_extremal(matrix, spec, minor):
+    if not is_extremal(matrix, spec, degree):
         raise ConstructionError(f"characteristic minor of {xi} is not extremal")
     return InvariantRecord(
         xi=tuple(xi),
         case=case,
         h=h,
         spec=spec,
-        minor=minor,
         degree=degree,
         invariant=invariant,
         d_star=d_star,
@@ -130,9 +120,13 @@ def invariant_for(
     )
 
 
-def all_invariants(ideal: RegularIdeal) -> list[InvariantRecord]:
-    """One record per cross of the diagram, in decreasing cross order."""
-    diagram = build_diagram(ideal)
+def all_invariants(
+    ideal: RegularIdeal, diagram: Optional[Diagram] = None
+) -> list[InvariantRecord]:
+    """One record per cross of the diagram, in decreasing cross order.
+    ``diagram`` may pass in the ideal's already built diagram."""
+    if diagram is None:
+        diagram = build_diagram(ideal)
     matrix = characteristic_matrix(ideal)
     return [
         invariant_for(ideal, diagram.crosses, xi, matrix) for xi in diagram.crosses

@@ -5,6 +5,15 @@ outside the ideal, zero on ideal cells and on or above the diagonal; the
 characteristic version subtracts the auxiliary variable on the diagonal.
 A minor is extremal when its degree strictly drops under every one-step
 row-down and column-left shift.
+
+Every nonzero off-diagonal cell carries its own variable, so distinct
+permutations give distinct monomials and a minor has no cancellation.  Its
+degree in the auxiliary variable is the largest number of diagonal cells in
+a perfect matching of its support, and its highest coefficient is the
+signed sum over exactly those matchings, every coefficient +-1 (the
+matching view of generic determinants: Edmonds 1967; Murota, Matrices and
+Matroids).  ``minor_degree`` and ``minor_top`` read both off integer passes
+over column masks; ``minor_lambda`` expands the whole minor.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Literal, Optional
 
 from .errors import BudgetError, InputError
 from .poly import LambdaPolynomial, Polynomial
-from .roots import RegularIdeal
+from .roots import RegularIdeal, Root, prec_key
 
 DEFAULT_SCAN_BUDGET = 20000
 
@@ -85,12 +94,98 @@ def phi_matrix(ideal: RegularIdeal) -> list[list[Polynomial]]:
     ]
 
 
-def minor_lambda(matrix: CharMatrix, spec: MinorSpec) -> LambdaPolynomial:
-    """Exact determinant of the selected submatrix of the characteristic
-    matrix, expanded over column subsets."""
+def _check_fits(matrix: CharMatrix, spec: MinorSpec) -> None:
     n = matrix.n
     if spec.rows and (spec.rows[-1] > n or spec.cols[-1] > n):
         raise InputError(f"minor {spec} does not fit a {n}x{n} matrix")
+
+
+def _row_cells(matrix: CharMatrix, spec: MinorSpec) -> list[list[tuple[int, Optional[Root]]]]:
+    """Nonzero cells of the minor, row by row, as (column index, root); the
+    root is None on a diagonal cell."""
+    _check_fits(matrix, spec)
+    ideal = matrix.ideal
+    return [
+        [
+            (c, None if i == j else (i, j))
+            for c, j in enumerate(spec.cols)
+            if i == j or (i > j and (i, j) not in ideal)
+        ]
+        for i in spec.rows
+    ]
+
+
+def _tail_degrees(cells: list[list[tuple[int, Optional[Root]]]]) -> dict[int, int]:
+    """Backward pass: for every column set that the last rows of the minor
+    can fill exactly, the most diagonal cells such a filling uses.  The rows
+    a mask belongs to follow from its popcount, so one dict holds all."""
+    tail = {0: 0}
+    layer = tail
+    for row in reversed(cells):
+        nxt: dict[int, int] = {}
+        for mask, best in layer.items():
+            for c, root in row:
+                if mask >> c & 1:
+                    continue
+                key = mask | 1 << c
+                value = best + (root is None)
+                if nxt.get(key, -1) < value:
+                    nxt[key] = value
+        if not nxt:
+            break
+        tail.update(nxt)
+        layer = nxt
+    return tail
+
+
+def minor_degree(matrix: CharMatrix, spec: MinorSpec) -> int:
+    """Degree of the minor in the auxiliary variable; -1 for a zero minor."""
+    return _tail_degrees(_row_cells(matrix, spec)).get((1 << spec.size) - 1, -1)
+
+
+def minor_top(matrix: CharMatrix, spec: MinorSpec) -> tuple[int, Polynomial]:
+    """Degree and highest coefficient of the minor, equal to
+    ``minor_lambda(matrix, spec).degree`` and ``.leading()``; (-1, 0) for a
+    zero minor.
+
+    Forward pass over rows: a partial matching survives only while the
+    backward pass says its remaining rows can still reach the degree, so
+    every kept term ends in the highest coefficient.
+    """
+    cells = _row_cells(matrix, spec)
+    tail = _tail_degrees(cells)
+    full = (1 << len(cells)) - 1
+    degree = tail.get(full, -1)
+    if degree < 0:
+        return -1, Polynomial.zero()
+    # Each diagonal cell holds -lambda: its sign is folded in up front.
+    layer: dict[int, list[tuple[tuple, int]]] = {0: [((), -1 if degree % 2 else 1)]}
+    for row in cells:
+        nxt: dict[int, list[tuple[tuple, int]]] = {}
+        for mask, terms in layer.items():
+            rest = tail[full ^ mask]
+            for c, root in row:
+                if mask >> c & 1:
+                    continue
+                key = mask | 1 << c
+                if tail.get(full ^ key) != rest - (root is None):
+                    continue
+                # Parity of already-used columns to the right of c.
+                flip = -1 if (mask >> (c + 1)).bit_count() & 1 else 1
+                cell = () if root is None else (root,)
+                nxt.setdefault(key, []).extend(
+                    (roots + cell, sign * flip) for roots, sign in terms
+                )
+        layer = nxt
+    return degree, Polynomial(
+        {tuple((r, 1) for r in sorted(roots, key=prec_key)): sign for roots, sign in layer[full]}
+    )
+
+
+def minor_lambda(matrix: CharMatrix, spec: MinorSpec) -> LambdaPolynomial:
+    """Exact determinant of the selected submatrix of the characteristic
+    matrix, expanded over column subsets."""
+    _check_fits(matrix, spec)
     m = spec.size
     if m == 0:
         return LambdaPolynomial.of_poly(Polynomial.constant(1))
@@ -141,31 +236,22 @@ def shift_spec(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorS
     raise InputError(f"unknown shift direction {direction!r}")
 
 
-def _is_extremal_given(matrix: CharMatrix, spec: MinorSpec, value: LambdaPolynomial) -> bool:
-    degree = value.degree
-    for i in range(1, matrix.n):
-        for direction in ("down", "left"):
-            shifted = shift_spec(spec, i, direction)
-            if shifted is None:
-                continue
-            if minor_lambda(matrix, shifted).degree >= degree:
-                return False
-    return True
-
-
-def is_extremal(
-    matrix: CharMatrix, spec: MinorSpec, value: Optional[LambdaPolynomial] = None
-) -> bool:
+def is_extremal(matrix: CharMatrix, spec: MinorSpec, degree: Optional[int] = None) -> bool:
     """Whether the minor's degree strictly drops under every shift.
 
     Vanishing or impossible shifts count as a drop; a zero minor itself is
-    rejected as input.  ``value`` may pass in a precomputed minor.
+    rejected as input.  ``degree`` may pass in the minor's known degree.
     """
-    if value is None:
-        value = minor_lambda(matrix, spec)
-    if value.is_zero:
+    if degree is None:
+        degree = minor_degree(matrix, spec)
+    if degree < 0:
         raise InputError(f"minor {spec} is zero; extremality is undefined")
-    return _is_extremal_given(matrix, spec, value)
+    for i in range(1, matrix.n):
+        for direction in ("down", "left"):
+            shifted = shift_spec(spec, i, direction)
+            if shifted is not None and minor_degree(matrix, shifted) >= degree:
+                return False
+    return True
 
 
 def enumerate_extremal(
@@ -199,6 +285,6 @@ def enumerate_extremal(
                 value = minor_lambda(matrix, spec)
                 if value.is_zero or value.degree == size:
                     continue
-                if _is_extremal_given(matrix, spec, value):
+                if is_extremal(matrix, spec, value.degree):
                     results.append(spec)
     return results

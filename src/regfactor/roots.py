@@ -9,6 +9,7 @@ set as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -18,12 +19,14 @@ Root = tuple[int, int]
 
 
 def check_root(n: int, root) -> Root:
-    """Validate and normalize a root for matrix size ``n``."""
+    """Validate a root for matrix size ``n``: a pair of ints (bools and
+    other numbers are rejected, not coerced), returned as a tuple."""
     try:
         i, j = root
-        i, j = int(i), int(j)
     except (TypeError, ValueError):
         raise InputError(f"not a root: {root!r}") from None
+    if any(type(x) is not int for x in (i, j)):
+        raise InputError(f"root entries must be integers: {root!r}")
     if not (1 <= j < i <= n):
         raise InputError(f"invalid root {root!r} for n={n}: need 1 <= col < row <= n")
     return (i, j)
@@ -100,9 +103,13 @@ class RegularIdeal:
         """Dimension of the factor algebra: number of roots outside the ideal."""
         return self.n * (self.n - 1) // 2 - len(self.roots)
 
-    def free_roots(self) -> list[Root]:
+    def free_roots(self) -> tuple[Root, ...]:
         """Positive roots outside the ideal, in decreasing order."""
-        return [r for r in positive_roots(self.n) if r not in self.roots]
+        return self._free_roots
+
+    @functools.cached_property
+    def _free_roots(self) -> tuple[Root, ...]:
+        return tuple(r for r in positive_roots(self.n) if r not in self.roots)
 
     def to_json(self) -> dict:
         return {

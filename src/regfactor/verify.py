@@ -514,7 +514,7 @@ def full_report(
     records: list[InvariantRecord] = []
 
     def check_records():
-        records.extend(all_invariants(ideal))
+        records.extend(all_invariants(ideal, diagram))
         for record in records:
             triangular_decomposition(record)
         return f"{len(records)} records"

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 from regfactor import Polynomial, RegularIdeal, close_ideal, positive_roots
 
@@ -144,6 +145,32 @@ def naive_minor(ideal: RegularIdeal, rows, cols) -> list[Polynomial]:
         acc[lam_power] = acc.get(lam_power, Polynomial.zero()) + coef
     top = max((p for p, v in acc.items() if not v.is_zero), default=-1)
     return [acc.get(p, Polynomial.zero()) for p in range(top + 1)]
+
+
+def all_regular_ideals(n: int) -> list[RegularIdeal]:
+    """Every regular ideal for size n, built from its column boundaries:
+    column j holds the rows b_j..n with j+1 <= b_j <= n+1 and b_j
+    nondecreasing in j.  There are Catalan(n) of them (Cellini-Papi 2000)."""
+    out = []
+
+    def extend(j: int, low: int, roots: frozenset) -> None:
+        if j == n:
+            out.append(RegularIdeal(n, roots))
+            return
+        for b in range(max(low, j + 1), n + 2):
+            extend(j + 1, b, roots | {(i, j) for i in range(b, n + 1)})
+
+    extend(1, 2, frozenset())
+    assert len(out) == comb(2 * n, n) // (n + 1)
+    return out
+
+
+def assert_unit_coefficients(poly: Polynomial) -> None:
+    """Every coefficient is +1 or -1: a characteristic minor has no
+    cancellation, so its highest coefficient is a signed sum of distinct
+    monomials."""
+    assert not poly.is_zero
+    assert all(abs(c) == 1 for c in poly.terms.values()), str(poly)
 
 
 def random_ideal(rng: random.Random, n: int | None = None, n_max: int = 8) -> RegularIdeal:

@@ -36,6 +36,7 @@ from helpers import (
     N7_CROSSES,
     N7_GRID_STEPS,
     N7_W,
+    assert_unit_coefficients,
     grid,
     n7_ideal,
     naive_minor,
@@ -123,6 +124,8 @@ def test_criterion_3_reference_invariants():
             + y(5, 4) * y(6, 2) * y(7, 3)
         )
         assert records[4].invariant in (p5, -p5)
+        for record in records:
+            assert_unit_coefficients(record.invariant)
 
         # the printed variant of the fourth minor: rows {2,3,4,7}
         matrix = characteristic_matrix(ideal)
@@ -130,7 +133,7 @@ def test_criterion_3_reference_invariants():
         value = minor_lambda(matrix, spec)
         top = value.coefficient(value.degree)
         assert top == y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
-        assert is_extremal(matrix, spec, value)
+        assert is_extremal(matrix, spec, value.degree)
         for i in range(1, 7):
             assert poisson_bracket_generator(i, top, ideal).is_zero
         probe = dataclasses.replace(records[3], invariant=top)
@@ -154,6 +157,7 @@ def test_criterion_4_corner_minors_baseline():
                 assert is_extremal(matrix, MinorSpec(rows, cols))
             for record, corner in zip(records, corners):
                 assert record.invariant in (corner, -corner)
+                assert_unit_coefficients(record.invariant)
                 assert record.extremal
 
 
@@ -169,6 +173,7 @@ def test_criterion_5_property_suite():
                 assert len(record.rows) == len(record.cols)
                 assert record.cols == tuple(range(record.cols[0], t + 1))
                 assert record.extremal
+                assert_unit_coefficients(record.invariant)
                 if record.case == 1:
                     assert record.degree == 0
                 else:

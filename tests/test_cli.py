@@ -146,6 +146,30 @@ def test_malformed_file(tmp_path, capsys):
     assert run(capsys, "diagram", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_fractional_root_entry_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 7, "ideal_generators": [[5.9, 1]]}))
+    code, _, err = run(capsys, "diagram", str(bad))
+    assert code == 2
+    assert "integers" in err
+
+
+def test_string_root_entries_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 7, "ideal_generators": [["5", "1"]]}))
+    code, _, err = run(capsys, "diagram", str(bad))
+    assert code == 2
+    assert "integers" in err
+
+
+def test_boolean_size_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": True, "ideal_generators": []}))
+    code, _, err = run(capsys, "diagram", str(bad))
+    assert code == 2
+    assert '"n"' in err
+
+
 def test_strict_mode_rejects_non_closed(problem, capsys):
     code, _, err = run(capsys, "verify", problem, "--strict")
     assert code == 2

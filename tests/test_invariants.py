@@ -7,15 +7,24 @@ from regfactor import (
     InputError,
     build_diagram,
     case_of,
+    characteristic_matrix,
     close_ideal,
     all_invariants,
     invariant_for,
     jacobian_rank,
+    minor_lambda,
     minor_support,
     poisson_bracket_generator,
     triangular_decomposition,
 )
-from helpers import N7_CROSSES, n7_ideal, naive_minor, random_ideals, y
+from helpers import (
+    N7_CROSSES,
+    assert_unit_coefficients,
+    n7_ideal,
+    naive_minor,
+    random_ideals,
+    y,
+)
 
 
 def test_case_of_reference():
@@ -63,6 +72,8 @@ def test_reference_invariants():
     )
     assert rec5.invariant in (expected5, -expected5)
     assert all(r.extremal for r in records)
+    for record in records:
+        assert_unit_coefficients(record.invariant)
 
 
 def test_reference_triangular_decompositions():
@@ -95,10 +106,16 @@ def test_corner_minors_for_free_factors():
             corner = naive_minor(ideal, rows, cols)
             assert len(corner) == 1  # no diagonal overlap, degree zero
             assert record.invariant in (corner[0], -corner[0])
+            assert_unit_coefficients(record.invariant)
 
 
 def test_zero_factor_has_no_invariants():
     assert all_invariants(close_ideal(2, [(2, 1)])) == []
+
+
+def test_all_invariants_reuses_a_given_diagram():
+    ideal = n7_ideal()
+    assert all_invariants(ideal, build_diagram(ideal)) == all_invariants(ideal)
 
 
 def test_record_json_schema():
@@ -136,6 +153,7 @@ def test_structural_properties_random():
             assert record.cols == tuple(range(record.cols[0], t + 1))
             assert len(record.rows) == len(record.cols)
             assert record.extremal
+            assert_unit_coefficients(record.invariant)
             if record.case == 1:
                 assert record.degree == 0 and record.d_star is None
             else:
@@ -152,6 +170,7 @@ def test_structural_properties_random():
 def test_invariants_annihilated_by_generators_random():
     for ideal in random_ideals(15, seed=302):
         for record in all_invariants(ideal):
+            assert_unit_coefficients(record.invariant)
             for i in range(1, ideal.n):
                 assert poisson_bracket_generator(i, record.invariant, ideal).is_zero
 
@@ -159,6 +178,8 @@ def test_invariants_annihilated_by_generators_random():
 def test_jacobian_rank_matches_cross_count_random():
     for ideal in random_ideals(15, seed=303):
         records = all_invariants(ideal)
+        for record in records:
+            assert_unit_coefficients(record.invariant)
         point = DualPoint.prime_point(ideal)
         assert jacobian_rank([r.invariant for r in records], point.coords) == len(records)
 
@@ -169,7 +190,9 @@ def test_record_minors_match_permutation_sum_oracle():
     for ideal in random_ideals(12, seed=304):
         for record in all_invariants(ideal):
             expected = naive_minor(ideal, record.rows, record.cols)
-            assert list(record.minor.coeffs) == expected
+            value = minor_lambda(characteristic_matrix(ideal), record.spec)
+            assert list(value.coeffs) == expected
             top = expected[-1]
             assert record.invariant in (top, -top)
+            assert_unit_coefficients(record.invariant)
             assert record.degree == len(expected) - 1

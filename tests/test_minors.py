@@ -14,12 +14,21 @@ from regfactor import (
     close_ideal,
     enumerate_extremal,
     is_extremal,
+    minor_degree,
     minor_lambda,
+    minor_top,
     phi_matrix,
     positive_roots,
     shift_spec,
 )
-from helpers import n7_ideal, naive_minor, random_ideal, y
+from helpers import (
+    all_regular_ideals,
+    assert_unit_coefficients,
+    n7_ideal,
+    naive_minor,
+    random_ideal,
+    y,
+)
 
 
 def test_phi_pattern_reference():
@@ -53,7 +62,8 @@ def test_phi_small_cases():
 def test_minor_reference_four_by_four():
     # rows {2,3,4,7} x cols {1,2,3,4} of the n=7 instance, expanded by hand
     matrix = characteristic_matrix(n7_ideal())
-    value = minor_lambda(matrix, MinorSpec((2, 3, 4, 7), (1, 2, 3, 4)))
+    spec = MinorSpec((2, 3, 4, 7), (1, 2, 3, 4))
+    value = minor_lambda(matrix, spec)
     assert value.degree == 2
     assert value.coefficient(2) == y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
     assert value.coefficient(1) == (
@@ -62,6 +72,8 @@ def test_minor_reference_four_by_four():
         + y(7, 4) * y(3, 1) * y(4, 3)
     )
     assert value.coefficient(0) == y(7, 4) * y(2, 1) * y(3, 2) * y(4, 3)
+    assert minor_degree(matrix, spec) == 2
+    assert minor_top(matrix, spec) == (2, y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1))
 
 
 def test_minor_reference_three_by_three():
@@ -93,6 +105,10 @@ def test_minor_input_errors():
     matrix = characteristic_matrix(close_ideal(3, []))
     with pytest.raises(InputError):
         minor_lambda(matrix, MinorSpec((4,), (1,)))
+    with pytest.raises(InputError):
+        minor_top(matrix, MinorSpec((1,), (4,)))
+    with pytest.raises(InputError):
+        minor_degree(matrix, MinorSpec((4,), (1,)))
 
 
 def test_shift_examples():
@@ -175,6 +191,30 @@ def test_empty_spec_is_the_unit():
     matrix = characteristic_matrix(close_ideal(3, []))
     value = minor_lambda(matrix, MinorSpec((), ()))
     assert value == LambdaPolynomial.of_poly(Polynomial.constant(1))
+    assert minor_top(matrix, MinorSpec((), ())) == (0, Polynomial.constant(1))
+
+
+def test_matching_kernel_exhaustive_small():
+    # every spec of every regular ideal for n <= 5 (1, 2, 5, 14, 42 ideals)
+    # against the permutation-sum oracle
+    import itertools
+
+    for n in range(1, 6):
+        for ideal in all_regular_ideals(n):
+            matrix = characteristic_matrix(ideal)
+            indices = range(1, n + 1)
+            for size in range(1, n + 1):
+                for rows in itertools.combinations(indices, size):
+                    for cols in itertools.combinations(indices, size):
+                        spec = MinorSpec(rows, cols)
+                        expected = naive_minor(ideal, rows, cols)
+                        degree, top = minor_top(matrix, spec)
+                        assert degree == len(expected) - 1 == minor_degree(matrix, spec)
+                        if expected:
+                            assert top == expected[-1]
+                            assert_unit_coefficients(top)
+                        else:
+                            assert top.is_zero
 
 
 def test_extremal_top_coefficients_are_invariant():

@@ -109,6 +109,10 @@ def test_invalid_roots_rejected():
         close_ideal(4, [(5, 1)])
     with pytest.raises(InputError):
         close_ideal(4, [("a", 1)])
+    # no silent coercion: floats, strings and bools are not integers
+    for root in [(3.0, 1), (3.5, 1), ("3", "1"), (3, True), "31"]:
+        with pytest.raises(InputError):
+            close_ideal(4, [root])
 
 
 def test_strict_mode():

@@ -14,7 +14,6 @@ from .errors import BudgetError, ConstructionError, InputError, RegFactorError
 from .invariants import (
     InvariantRecord,
     all_invariants,
-    case_of,
     invariant_for,
     minor_support,
     triangular_decomposition,
@@ -35,7 +34,6 @@ from .poly import (
     LambdaPolynomial,
     Polynomial,
     bracket_single,
-    evaluate,
     jacobian_rank,
     parse_polynomial,
     poisson_bracket,
@@ -67,6 +65,7 @@ from .verify import (
 from .weyl import (
     Permutation,
     SegmentData,
+    case_of,
     column_max_permutation,
     descent_chain,
     inversions,
@@ -80,4 +79,24 @@ from .weyl import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Diagram", "DiagramCounts", "Symbol", "build_diagram", "crosscheck_symbols",
+    "symbol_from_reflections",
+    "BudgetError", "ConstructionError", "InputError", "RegFactorError",
+    "InvariantRecord", "all_invariants", "invariant_for", "minor_support",
+    "triangular_decomposition",
+    "CharMatrix", "MinorSpec", "characteristic_matrix", "enumerate_extremal",
+    "is_extremal", "minor_degree", "minor_lambda", "minor_top", "phi_matrix",
+    "shift_spec",
+    "LambdaPolynomial", "Polynomial", "bracket_single", "jacobian_rank",
+    "parse_polynomial", "poisson_bracket", "poisson_bracket_generator",
+    "reduce_mod_ideal",
+    "RegularIdeal", "Root", "close_ideal", "compare_prec", "positive_roots", "prec_key",
+    "root_sum",
+    "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",
+    "check_invariance", "coadjoint_act", "full_report", "invariant_in_span",
+    "oracle_invariants", "skew_rank_stats",
+    "Permutation", "SegmentData", "case_of", "column_max_permutation", "descent_chain",
+    "inversions", "minor_columns", "reflection_product", "reflections_in_column",
+    "reflections_through", "reflections_up_to", "segment_data",
+]

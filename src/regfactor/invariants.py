@@ -21,8 +21,6 @@ from .minors import CharMatrix, MinorSpec, characteristic_matrix, is_extremal, m
 from .poly import Polynomial
 from .roots import RegularIdeal, Root
 
-case_of = weyl.case_of
-
 
 def minor_support(n: int, crosses: Sequence[Root], xi: Root) -> MinorSpec:
     """Rows and columns of the characteristic minor attached to a cross."""

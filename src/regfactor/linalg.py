@@ -1,126 +1,107 @@
 """Exact linear algebra over the rationals.
 
-Small dense routines backing rank, nullspace, and span membership checks.
-Integer matrices go through fraction-free elimination; anything else falls
-back to Gaussian elimination with Fraction arithmetic.
+Rank, nullspace and span membership all run on one fraction-free
+Gauss-Jordan elimination (Bareiss 1968) over the integers.  Entries must be
+``int`` or ``Fraction``; each row holding fractions is scaled to integers
+once on entry, which changes neither its span nor the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+from .errors import InputError
+
+
+def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
+    out = []
+    for row in rows:
+        row = list(row)
+        if len(row) != n_cols:
+            raise InputError(f"row of length {len(row)} in a matrix of {n_cols} columns")
+        kinds = set(map(type, row))
+        if not kinds <= {int}:
+            if not kinds <= {int, Fraction}:
+                raise InputError("matrix entries must be int or Fraction")
+            scale = lcm(*(Fraction(x).denominator for x in row))
+            row = [int(x * scale) for x in row]
+        out.append(row)
+    return out
+
+
+def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
+    """Reduce ``m`` in place and return its pivot columns.
+
+    Every step replaces each other row by (pivot * row - factor * pivot row)
+    divided by the previous pivot, a division that is exact.  A row with a
+    zero factor only scales by pivot / previous pivot, and is left as it is
+    when that ratio is -1: every stored row is then plus or minus its
+    Bareiss value, which keeps each later division exact.  At the end the
+    rows are the nonzero ones only, each signed so that every pivot entry
+    equals the last pivot d, and the other pivot columns are zero: ``m`` is
+    d times the reduced row echelon form.
+    """
+    pivots: list[int] = []
+    prev = 1
+    for c in range(n_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        top = m[r]
+        pivot = top[c]
+        for i, row in enumerate(m):
+            factor = row[c]
+            if i == r:
+                continue
+            if factor:
+                m[i] = [(pivot * a - factor * b) // prev for a, b in zip(row, top)]
+            elif pivot != prev and pivot != -prev:
+                m[i] = [pivot * a // prev for a in row]
+        m[r + 1:] = [row for row in m[r + 1:] if any(row)]
+        prev = pivot
+        pivots.append(c)
+    del m[len(pivots):]
+    for r, c in enumerate(pivots):
+        if m[r][c] != prev:
+            m[r] = [-a for a in m[r]]
+    return pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix with int or Fraction entries."""
-    if not rows or not rows[0]:
-        return 0
-    if all(isinstance(x, int) for row in rows for x in row):
-        return _rank_bareiss([list(row) for row in rows])
-    return _rank_gauss([[Fraction(x) for x in row] for row in rows])
+    n_cols = len(rows[0]) if rows else 0
+    return len(_eliminate(_integer_rows(rows, n_cols), n_cols))
 
 
-def _rank_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination; divisions are exact by construction."""
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                num = pivot * m[i][j] - m[i][c] * m[r][j]
-                quot, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free step was not exact")
-                m[i][j] = quot
-            m[i][c] = 0
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r
+def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
+    """Basis of the right kernel, one vector per free column.
 
-
-def _rank_gauss(m: list[list[Fraction]]) -> int:
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
-
-
-def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[Fraction]]:
-    """Canonical basis of the right kernel, one vector per free column.
-
-    ``n_cols`` is required so that an empty equation list still knows the
-    ambient dimension.
+    Each vector is the one the reduced row echelon form gives for its free
+    column (1 there, zero at the other free columns), scaled by a positive
+    factor to coprime integers.  ``n_cols`` is required so that an empty
+    equation list still knows the ambient dimension.
     """
-    if n_cols == 0:
-        return []
-    if not rows:
-        reduced, pivots = [], []
-    else:
-        reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    m = _integer_rows(rows, n_cols)
+    pivots = _eliminate(m, n_cols)
+    d = m[0][pivots[0]] if pivots else 1
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -reduced[row_idx][free]
-        basis.append(vec)
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [0] * n_cols
+        vec[free] = d
+        for row, col in zip(m, pivots):
+            vec[col] = -row[free]
+        g = gcd(*vec) if d > 0 else -gcd(*vec)
+        basis.append([x // g for x in vec])
     return basis
 
 
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether ``target`` is a rational linear combination of ``vectors``."""
-    if all(not Fraction(x) for x in target):
-        return True
-    if not vectors:
-        return False
-    matrix = [list(v) for v in vectors]
-    return rank(matrix) == rank(matrix + [list(target)])
+    """Whether ``target`` is a rational linear combination of ``vectors``:
+    that is, whether it is orthogonal to every vector of their kernel."""
+    (t,) = _integer_rows([target], len(target))
+    kernel = nullspace(vectors, len(target))
+    return not any(sum(a * b for a, b in zip(k, t)) for k in kernel)

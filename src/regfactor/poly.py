@@ -260,11 +260,6 @@ class Polynomial:
         return total
 
 
-def evaluate(poly: Polynomial, point: Mapping[Root, Scalar]) -> Fraction:
-    """Module-level alias for :meth:`Polynomial.evaluate`."""
-    return poly.evaluate(point)
-
-
 _TERM_RE = re.compile(
     r"""
     (?P<coef>-?\d+(?:/\d+)?)?          # optional integer or p/q coefficient

@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -341,25 +341,6 @@ def skew_rank_stats(
     return SkewStats(best, dim - best)
 
 
-def _monomials_of_degree(variables: Sequence[Root], degree: int):
-    for combo in itertools.combinations_with_replacement(variables, degree):
-        mono: list[tuple[Root, int]] = []
-        for root in combo:
-            if mono and mono[-1][0] == root:
-                mono[-1] = (root, mono[-1][1] + 1)
-            else:
-                mono.append((root, 1))
-        yield tuple(mono)
-
-
-def _weight(mono: Monomial, n: int) -> tuple[int, ...]:
-    weight = [0] * n
-    for (i, j), e in mono:
-        weight[i - 1] += e
-        weight[j - 1] -= e
-    return tuple(weight)
-
-
 def oracle_invariants(
     ideal: RegularIdeal,
     max_degree: int,
@@ -382,65 +363,88 @@ def oracle_invariants(
         raise BudgetError(
             f"oracle would scan {total} monomials, budget is {budget}"
         )
-    generators = [i for i in range(1, n) if (i + 1, i) not in ideal]
-    groups: dict[tuple[int, ...], list[Monomial]] = {}
+    # While the equations are built, a monomial is the sorted tuple of its
+    # variables' positions.  moves[k] lists (i, s, position of r) for each
+    # generator (i+1,i) whose bracket with variable k is s*r, r outside the
+    # ideal.
+    position = {root: k for k, root in enumerate(variables)}
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in variables]
+    for i in range(1, n):
+        if (i + 1, i) in ideal:
+            continue
+        for k, root in enumerate(variables):
+            hit = bracket_single((i + 1, i), root)
+            if hit is not None and hit[1] not in ideal:
+                moves[k].append((i, hit[0], position[hit[1]]))
+    groups: dict[tuple[int, ...], list[tuple[Monomial, tuple[int, ...]]]] = {}
     for degree in range(1, max_degree + 1):
-        for mono in _monomials_of_degree(variables, degree):
-            groups.setdefault(_weight(mono, n), []).append(mono)
+        for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
+            mono = _monomial([variables[k] for k in combo])
+            groups.setdefault(_weight(mono, n), []).append((mono, combo))
 
     basis: list[Polynomial] = []
     for weight in sorted(groups):
-        monos = sorted(groups[weight], key=lambda m: (len(m), m))
-        index = {m: c for c, m in enumerate(monos)}
-        equations: dict[tuple[int, Monomial], list[Fraction]] = {}
-        for col, mono in enumerate(monos):
-            poly = Polynomial({mono: 1})
-            for i in generators:
-                image = poisson_bracket_generator(i, poly, ideal)
-                for out_mono, coef in image.terms.items():
-                    row = equations.setdefault(
-                        (i, out_mono), [Fraction(0)] * len(monos)
-                    )
-                    row[col] = coef
-        matrix = [equations[key] for key in sorted(equations, key=lambda k: (k[0], k[1]))]
-        for vector in linalg.nullspace(matrix, len(monos)):
-            poly = Polynomial({m: vector[index[m]] for m in monos})
-            basis.append(_primitive(poly))
+        members = sorted(groups[weight], key=lambda mc: (len(mc[0]), mc[0]))
+        equations: dict[tuple, list[int]] = {}
+        for col, (_, combo) in enumerate(members):
+            # The bracket with b^e is s*e*(mono/b)*r: one term per copy of b.
+            for p, k in enumerate(combo):
+                for i, sign, r in moves[k]:
+                    key = (i, tuple(sorted(combo[:p] + (r,) + combo[p + 1:])))
+                    row = equations.get(key)
+                    if row is None:
+                        row = equations[key] = [0] * len(members)
+                    row[col] += sign
+        for vector in linalg.nullspace(list(equations.values()), len(members)):
+            poly = Polynomial({m: v for (m, _), v in zip(members, vector) if v})
+            basis.append(poly.normalize_sign())
     basis.sort(key=lambda p: (p.degree(), str(p)))
     return basis
 
 
-def _primitive(poly: Polynomial) -> Polynomial:
-    """Scale to integer coprime coefficients with a positive leading one."""
-    denom = 1
-    for coef in poly.terms.values():
-        denom = denom * coef.denominator // gcd(denom, coef.denominator)
-    scaled = poly * denom
-    g = 0
-    for coef in scaled.terms.values():
-        g = gcd(g, abs(coef.numerator))
-    if g > 1:
-        scaled = scaled * Fraction(1, g)
-    return scaled.normalize_sign()
+def _monomial(roots: Sequence[Root]) -> Monomial:
+    """The monomial of a list of roots already in decreasing order."""
+    mono: list[tuple[Root, int]] = []
+    for root in roots:
+        if mono and mono[-1][0] == root:
+            mono[-1] = (root, mono[-1][1] + 1)
+        else:
+            mono.append((root, 1))
+    return tuple(mono)
+
+
+def _weight(mono: Monomial, n: int) -> tuple[int, ...]:
+    weight = [0] * n
+    for (i, j), e in mono:
+        weight[i - 1] += e
+        weight[j - 1] -= e
+    return tuple(weight)
+
+
+def _in_span_each(basis: Sequence[Polynomial], polys: Sequence[Polynomial]) -> list[bool]:
+    """Exact membership of each of ``polys`` in the rational span of
+    ``basis``.  A vector lies in the row span of a matrix exactly when it is
+    orthogonal to the matrix's kernel, so one elimination serves them all."""
+    index: dict[Monomial, int] = {}
+    for p in (*basis, *polys):
+        for m in p.terms:
+            index.setdefault(m, len(index))
+    rows = []
+    for p in basis:
+        row = [0] * len(index)
+        for m, c in p.terms.items():
+            row[index[m]] = c
+        rows.append(row)
+    kernel = linalg.nullspace(rows, len(index))
+    return [
+        not any(sum(k[index[m]] * c for m, c in p.terms.items()) for k in kernel)
+        for p in polys
+    ]
 
 
 def invariant_in_span(basis: Sequence[Polynomial], poly: Polynomial) -> bool:
     """Exact membership of ``poly`` in the rational span of ``basis``."""
-    monomials = sorted(
-        {m for p in basis for m in p.terms} | set(poly.terms),
-        key=lambda m: (len(m), m),
-    )
-    index = {m: i for i, m in enumerate(monomials)}
-    vectors = []
-    for p in basis:
-        row = [Fraction(0)] * len(monomials)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        vectors.append(row)
-    target = [Fraction(0)] * len(monomials)
-    for m, c in poly.terms.items():
-        target[index[m]] = c
-    return linalg.in_span(vectors, target)
+    return _in_span_each(basis, [poly])[0]
 
 
 def full_report(
@@ -584,8 +588,9 @@ def full_report(
             if not low:
                 return "no low-degree invariants"
             basis = oracle_invariants(ideal, max_degree, budget=oracle_budget)
-            for record in low:
-                if not invariant_in_span(basis, record.invariant):
+            inside = _in_span_each(basis, [r.invariant for r in low])
+            for record, ok in zip(low, inside):
+                if not ok:
                     raise ConstructionError(
                         f"invariant of {record.xi} is outside the oracle kernel"
                     )

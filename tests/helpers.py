@@ -1,15 +1,22 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 and independent oracles (permutation-sum determinant, brute inversion
-count) that never touch the code paths they check."""
+count, Fraction Gauss-Jordan elimination, per-monomial bracket oracle) that
+never touch the code paths they check."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm, prod
 
-from regfactor import Polynomial, RegularIdeal, close_ideal, positive_roots
+from regfactor import (
+    Polynomial,
+    RegularIdeal,
+    close_ideal,
+    poisson_bracket_generator,
+    positive_roots,
+)
 
 # The n=7 instance with ideal generated by (5,1) and (7,2); its closure,
 # diagram, steps, crosses, and permutation are pinned from hand expansion.
@@ -226,3 +233,73 @@ def random_polynomial(
             term = term * Polynomial.variable(rng.choice(variables))
         out = out + term
     return out
+
+
+def gauss_jordan(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction and its pivot columns, by
+    plain Gauss-Jordan elimination (no integer kernel involved)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def reference_nullspace(rows, n_cols: int) -> list[list[Fraction]]:
+    """Kernel basis read off the reduced row echelon form: one vector per
+    free column, 1 there and 0 at the other free columns."""
+    reduced, pivots = gauss_jordan(rows)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def reference_oracle(ideal: RegularIdeal, max_degree: int) -> list[Polynomial]:
+    """Invariant basis up to ``max_degree`` built the slow way: one
+    ``poisson_bracket_generator`` call per (monomial, generator) pair, a
+    Fraction equation matrix per weight, and Gauss-Jordan kernels.  Columns
+    keep the library's order, so the canonical kernel vectors agree."""
+    n = ideal.n
+    groups: dict[tuple, list] = {}
+    for degree in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(ideal.free_roots(), degree):
+            (mono,) = prod(map(Polynomial.variable, combo), start=Polynomial.constant(1)).terms
+            weight = [0] * n
+            for i, j in combo:
+                weight[i - 1] += 1
+                weight[j - 1] -= 1
+            groups.setdefault(tuple(weight), []).append(mono)
+    basis = []
+    for weight in sorted(groups):
+        monos = sorted(groups[weight], key=lambda m: (len(m), m))
+        equations: dict[tuple, list[Fraction]] = {}
+        for col, mono in enumerate(monos):
+            for i in range(1, n):
+                image = poisson_bracket_generator(i, Polynomial({mono: 1}), ideal)
+                for out, coef in image.terms.items():
+                    equations.setdefault((i, out), [Fraction(0)] * len(monos))[col] = coef
+        for vec in reference_nullspace(list(equations.values()), len(monos)):
+            denom = lcm(*(x.denominator for x in vec))
+            ints = [int(x * denom) for x in vec]
+            g = gcd(*ints)
+            poly = Polynomial({m: c // g for m, c in zip(monos, ints) if c})
+            basis.append(poly.normalize_sign())
+    basis.sort(key=lambda p: (p.degree(), str(p)))
+    return basis
+

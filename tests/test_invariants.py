@@ -6,7 +6,6 @@ from regfactor import (
     DualPoint,
     InputError,
     build_diagram,
-    case_of,
     characteristic_matrix,
     close_ideal,
     all_invariants,
@@ -17,6 +16,7 @@ from regfactor import (
     poisson_bracket_generator,
     triangular_decomposition,
 )
+from regfactor.weyl import case_of
 from helpers import (
     N7_CROSSES,
     assert_unit_coefficients,

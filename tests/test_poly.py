@@ -12,7 +12,6 @@ from regfactor import (
     Polynomial,
     bracket_single,
     close_ideal,
-    evaluate,
     jacobian_rank,
     parse_polynomial,
     poisson_bracket,
@@ -114,16 +113,16 @@ def test_derivative():
 
 
 def test_evaluate_examples():
-    assert evaluate(y(4, 1), {(4, 1): Fraction(3, 2)}) == Fraction(3, 2)
+    assert y(4, 1).evaluate({(4, 1): Fraction(3, 2)}) == Fraction(3, 2)
     p = y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
     point = {(7, 4): 1, (4, 1): 2, (7, 3): 3, (3, 1): -1}
-    assert evaluate(p, point) == -1
-    assert evaluate(Polynomial.zero(), {}) == 0
+    assert p.evaluate(point) == -1
+    assert Polynomial.zero().evaluate({}) == 0
 
 
 def test_evaluate_missing_variable():
     with pytest.raises(InputError):
-        evaluate(y(4, 1) + y(3, 1), {(4, 1): 1})
+        (y(4, 1) + y(3, 1)).evaluate({(4, 1): 1})
 
 
 # --- Poisson structure ------------------------------------------------------

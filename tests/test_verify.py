@@ -2,6 +2,7 @@
 and the aggregate report."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from regfactor import (
     positive_roots,
     skew_rank_stats,
 )
-from helpers import n7_ideal, random_ideals, y
+from helpers import all_regular_ideals, n7_ideal, random_ideals, reference_oracle, y
 
 
 def test_identity_acts_trivially():
@@ -152,6 +153,21 @@ def test_oracle_budget_guard():
         oracle_invariants(close_ideal(6, []), 4, budget=100)
     with pytest.raises(InputError):
         oracle_invariants(close_ideal(3, []), 0)
+
+
+def test_oracle_matches_reference_elimination():
+    for n in range(1, 6):
+        for ideal in all_regular_ideals(n):
+            assert oracle_invariants(ideal, 3) == reference_oracle(ideal, 3)
+
+
+def test_oracle_reference_basis_pinned():
+    # sha256 of the 49 basis strings, one per line, for the n=7 reference
+    # at degree 4
+    basis = oracle_invariants(n7_ideal(), 4)
+    assert len(basis) == 49
+    digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
+    assert digest == "cc43a79920286631a81909c4b6bc40fb59af5d4c8937fd504ddd386aac1e4ebb"
 
 
 def test_oracle_members_are_invariant():

@@ -15,7 +15,6 @@ from .invariants import (
     InvariantRecord,
     all_invariants,
     invariant_for,
-    minor_support,
     triangular_decomposition,
 )
 from .minors import (
@@ -63,16 +62,15 @@ from .verify import (
     skew_rank_stats,
 )
 from .weyl import (
+    CrossData,
     Permutation,
     SegmentData,
-    case_of,
     column_max_permutation,
+    cross_data,
     descent_chain,
     inversions,
-    minor_columns,
     reflection_product,
     reflections_in_column,
-    reflections_through,
     reflections_up_to,
     segment_data,
 )
@@ -83,8 +81,7 @@ __all__ = [
     "Diagram", "DiagramCounts", "Symbol", "build_diagram", "crosscheck_symbols",
     "symbol_from_reflections",
     "BudgetError", "ConstructionError", "InputError", "RegFactorError",
-    "InvariantRecord", "all_invariants", "invariant_for", "minor_support",
-    "triangular_decomposition",
+    "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
     "CharMatrix", "MinorSpec", "characteristic_matrix", "enumerate_extremal",
     "is_extremal", "minor_degree", "minor_lambda", "minor_top", "phi_matrix",
     "shift_spec",
@@ -96,7 +93,7 @@ __all__ = [
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",
     "check_invariance", "coadjoint_act", "full_report", "invariant_in_span",
     "oracle_invariants", "skew_rank_stats",
-    "Permutation", "SegmentData", "case_of", "column_max_permutation", "descent_chain",
-    "inversions", "minor_columns", "reflection_product", "reflections_in_column",
-    "reflections_through", "reflections_up_to", "segment_data",
+    "CrossData", "Permutation", "SegmentData", "column_max_permutation", "cross_data",
+    "descent_chain", "inversions", "reflection_product", "reflections_in_column",
+    "reflections_up_to", "segment_data",
 ]

@@ -120,6 +120,21 @@ def build_diagram(ideal: RegularIdeal) -> Diagram:
     return Diagram(ideal.n, cells, tuple(crosses))
 
 
+def _symbol_by_sign(eta: Root, before: bool, after: bool, is_cross: bool) -> Symbol:
+    """The reflection rule for cell ``eta``, given whether the products over
+    the crosses of columns up to t-1 (``before``) and up to t (``after``)
+    keep it positive."""
+    if before and after:
+        return Symbol.BULLET
+    if not before and not after:
+        return Symbol.MINUS
+    if before:
+        return Symbol.CROSS if is_cross else Symbol.PLUS
+    raise ConstructionError(
+        f"cell {eta} flips from negative back to positive across column {eta[1]}"
+    )
+
+
 def symbol_from_reflections(
     ideal: RegularIdeal, eta: Root, crosses: Optional[Sequence[Root]] = None
 ) -> Symbol:
@@ -136,15 +151,7 @@ def symbol_from_reflections(
         crosses = build_diagram(ideal).crosses
     before = reflections_up_to(ideal.n, crosses, t - 1).sends_positive(eta)
     after = reflections_up_to(ideal.n, crosses, t).sends_positive(eta)
-    if before and after:
-        return Symbol.BULLET
-    if not before and not after:
-        return Symbol.MINUS
-    if before and not after:
-        return Symbol.CROSS if (b, t) in set(map(tuple, crosses)) else Symbol.PLUS
-    raise ConstructionError(
-        f"cell {eta} flips from negative back to positive across column {t}"
-    )
+    return _symbol_by_sign(eta, before, after, (b, t) in set(map(tuple, crosses)))
 
 
 def crosscheck_symbols(ideal: RegularIdeal, diagram: Optional[Diagram] = None) -> None:
@@ -156,17 +163,9 @@ def crosscheck_symbols(ideal: RegularIdeal, diagram: Optional[Diagram] = None) -
     cross_set = set(diagram.crosses)
     products = [reflections_up_to(n, diagram.crosses, t) for t in range(n)]
     for eta in positive_roots(n):
-        b, t = eta
-        before = products[t - 1].sends_positive(eta)
-        after = products[t].sends_positive(eta)
-        if before and after:
-            derived = Symbol.BULLET
-        elif not before and not after:
-            derived = Symbol.MINUS
-        elif before and not after:
-            derived = Symbol.CROSS if eta in cross_set else Symbol.PLUS
-        else:
-            raise ConstructionError(f"cell {eta} has an impossible sign pattern")
+        before = products[eta[1] - 1].sends_positive(eta)
+        after = products[eta[1]].sends_positive(eta)
+        derived = _symbol_by_sign(eta, before, after, eta in cross_set)
         if derived is not diagram.symbol(eta):
             raise ConstructionError(
                 f"cell {eta}: reflection rule gives {derived.value}, "

@@ -1,12 +1,10 @@
 """Per-cross invariants: the characteristic minor attached to each cross of
 the diagram, its degree, and its highest coefficient.
 
-Each cross (k,t) selects columns J (the j <= t whose image under the
-reflection product through the cross stays at or above h) and rows I:
-in case 1 the images of J, in case 2 the segment [h,t] together with the
-rows above t whose image falls below h.  The highest coefficient of the
-resulting minor is an invariant of the coadjoint action; taken over all
-crosses these invariants are triangular in the cross variables.
+Each cross selects the columns and rows of its minor (``weyl.CrossData``).
+The highest coefficient of the resulting minor is an invariant of the
+coadjoint action; taken over all crosses these invariants are triangular
+in the cross variables.
 """
 
 from __future__ import annotations
@@ -16,28 +14,10 @@ from typing import Optional, Sequence
 
 from . import weyl
 from .diagram import Diagram, build_diagram
-from .errors import ConstructionError
+from .errors import ConstructionError, InputError
 from .minors import CharMatrix, MinorSpec, characteristic_matrix, is_extremal, minor_top
 from .poly import Polynomial
 from .roots import RegularIdeal, Root
-
-
-def minor_support(n: int, crosses: Sequence[Root], xi: Root) -> MinorSpec:
-    """Rows and columns of the characteristic minor attached to a cross."""
-    k, t = xi
-    h, case = weyl.case_of(n, crosses, xi)
-    cols = weyl.minor_columns(n, crosses, xi)
-    if cols != tuple(range(min(cols), t + 1)):
-        raise ConstructionError(f"columns of {xi} are not a segment ending at {t}: {cols}")
-    w_xi = weyl.reflections_through(n, crosses, xi)
-    if case == 1:
-        rows = tuple(sorted(w_xi(j) for j in cols))
-    else:
-        extra = [i for i in range(t + 1, n + 1) if w_xi(i) < h]
-        rows = tuple(list(range(h, t + 1)) + extra)
-    if len(rows) != len(cols):
-        raise ConstructionError(f"row and column counts differ for {xi}: {rows} vs {cols}")
-    return MinorSpec(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -76,30 +56,23 @@ class InvariantRecord:
         }
 
 
-def invariant_for(
-    ideal: RegularIdeal,
-    crosses: Sequence[Root],
-    xi: Root,
-    matrix: Optional[CharMatrix] = None,
+def _record(
+    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, matrix: CharMatrix
 ) -> InvariantRecord:
     """Assemble the record for one cross, checking every structural
     expectation along the way (raises ConstructionError on violation)."""
-    n = ideal.n
-    h, case = weyl.case_of(n, crosses, xi)
-    spec = minor_support(n, crosses, xi)
-    if matrix is None:
-        matrix = characteristic_matrix(ideal)
+    xi = data.xi
+    spec = MinorSpec(data.rows, data.cols)
     degree, top = minor_top(matrix, spec)
     if degree < 0:
         raise ConstructionError(f"characteristic minor of {xi} vanishes")
     invariant = top.normalize_sign()
     d_star: Optional[int] = None
-    if case == 1:
+    if data.case == 1:
         if degree != 0:
             raise ConstructionError(f"case-1 minor of {xi} has degree {degree}")
     else:
-        data = weyl.segment_data(ideal, crosses, xi, spec.cols)
-        d_star = data.d_star
+        d_star = weyl.segment_data(ideal, crosses, data).d_star
         if degree != d_star:
             raise ConstructionError(
                 f"minor of {xi} has degree {degree}, segment data predicts {d_star}"
@@ -107,15 +80,31 @@ def invariant_for(
     if not is_extremal(matrix, spec, degree):
         raise ConstructionError(f"characteristic minor of {xi} is not extremal")
     return InvariantRecord(
-        xi=tuple(xi),
-        case=case,
-        h=h,
+        xi=xi,
+        case=data.case,
+        h=data.h,
         spec=spec,
         degree=degree,
         invariant=invariant,
         d_star=d_star,
         extremal=True,
     )
+
+
+def invariant_for(
+    ideal: RegularIdeal,
+    crosses: Sequence[Root],
+    xi: Root,
+    matrix: Optional[CharMatrix] = None,
+) -> InvariantRecord:
+    """The record of one cross ``xi`` of ``crosses`` (raises InputError when
+    it is not one, ConstructionError on a structural violation)."""
+    if matrix is None:
+        matrix = characteristic_matrix(ideal)
+    for data in weyl.cross_data(ideal.n, crosses):
+        if data.xi == tuple(xi):
+            return _record(ideal, crosses, data, matrix)
+    raise InputError(f"{xi} is not a cross of the diagram")
 
 
 def all_invariants(
@@ -127,7 +116,8 @@ def all_invariants(
         diagram = build_diagram(ideal)
     matrix = characteristic_matrix(ideal)
     return [
-        invariant_for(ideal, diagram.crosses, xi, matrix) for xi in diagram.crosses
+        _record(ideal, diagram.crosses, data, matrix)
+        for data in weyl.cross_data(ideal.n, diagram.crosses)
     ]
 
 

@@ -79,14 +79,18 @@ def inversions(perm: Permutation) -> int:
     )
 
 
+def _check_decreasing(n: int, roots: Sequence[Root]) -> None:
+    keys = [prec_key(check_root(n, r)) for r in roots]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise InputError("reflection list must be strictly decreasing")
+
+
 def reflection_product(n: int, roots: Sequence[Root]) -> Permutation:
     """Product of the transpositions of ``roots``, rightmost applied first.
 
     The list must be strictly decreasing in the column order.
     """
-    keys = [prec_key(check_root(n, r)) for r in roots]
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise InputError("reflection list must be strictly decreasing")
+    _check_decreasing(n, roots)
     images = list(range(1, n + 1))
     # Composing with a transposition on the right swaps two one-line entries.
     for i, j in roots:
@@ -114,78 +118,83 @@ def column_max_permutation(ideal: RegularIdeal) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _crosses_index(crosses: Sequence[Root], xi: Root) -> int:
-    try:
-        return list(crosses).index(tuple(xi))
-    except ValueError:
-        raise InputError(f"{xi} is not a cross of the diagram") from None
-
-
-def crosses_in_column(crosses: Sequence[Root], t: int) -> list[Root]:
-    return [r for r in crosses if r[1] == t]
-
-
-def crosses_up_to_column(crosses: Sequence[Root], t: int) -> list[Root]:
-    return [r for r in crosses if r[1] <= t]
-
-
 def reflections_in_column(n: int, crosses: Sequence[Root], t: int) -> Permutation:
     """Product over the column-t crosses only."""
-    return reflection_product(n, crosses_in_column(crosses, t))
+    return reflection_product(n, [r for r in crosses if r[1] == t])
 
 
 def reflections_up_to(n: int, crosses: Sequence[Root], t: int) -> Permutation:
     """Product over all crosses in columns 1..t."""
-    return reflection_product(n, crosses_up_to_column(crosses, t))
+    return reflection_product(n, [r for r in crosses if r[1] <= t])
 
 
-def reflections_through(n: int, crosses: Sequence[Root], xi: Root) -> Permutation:
-    """Product over all crosses greater than or equal to ``xi``."""
-    m = _crosses_index(crosses, xi)
-    return reflection_product(n, list(crosses)[: m + 1])
-
-
-def _column_reflections_through(n, crosses, xi) -> Permutation:
-    """Product over column crosses of xi's column greater than or equal to xi."""
-    t = xi[1]
-    members = [r for r in crosses_in_column(crosses, t) if prec_key(r) <= prec_key(xi)]
-    return reflection_product(n, members)
-
-
-def case_of(n: int, crosses: Sequence[Root], xi: Root) -> tuple[int, int]:
-    """Return (h, case) for a cross xi = (k,t), where h is the image of t
-    under the product through xi.
+@dataclass(frozen=True)
+class CrossData:
+    """What one cross xi = (k,t) determines: the reflection product ``w``
+    through xi, h = w(t), the case, and the columns and rows of the
+    characteristic minor.
 
     Case 1 means h > t (no cross left of xi in its row, and then h = k);
-    case 2 means h < t.  h = t cannot occur for a cross.
+    case 2 means h < t.  The columns are the j <= t with w(j) >= h, a
+    segment ending at t.  The rows are the images of the columns in case 1,
+    and in case 2 the segment [h,t] followed by the rows above t whose
+    image falls below h.
     """
-    k, t = check_root(n, xi)
-    _crosses_index(crosses, xi)
-    h = reflections_through(n, crosses, xi)(t)
-    if h > t:
-        if h != k:
+
+    xi: Root
+    w: Permutation
+    h: int
+    case: int
+    cols: tuple[int, ...]
+    rows: tuple[int, ...]
+
+
+def cross_data(n: int, crosses: Sequence[Root]) -> tuple[CrossData, ...]:
+    """The data of every cross in one pass: each product through a cross is
+    the previous one with one more transposition on the right.
+
+    Raises InputError when the crosses are not strictly decreasing, and
+    ConstructionError when a cross breaks the case split or gives a
+    malformed minor.
+    """
+    _check_decreasing(n, crosses)
+    images = list(range(1, n + 1))
+    result = []
+    for k, t in crosses:
+        xi = (k, t)
+        images[k - 1], images[t - 1] = images[t - 1], images[k - 1]
+        h = images[t - 1]
+        case = 1 if h > t else 2
+        if h == t:
+            raise ConstructionError(f"cross {xi} fixes its own column index")
+        if case == 1 and h != k:
             raise ConstructionError(f"case-1 cross {xi} maps its column to {h} != {k}")
-        return h, 1
-    if h == t:
-        raise ConstructionError(f"cross {xi} fixes its own column index")
-    return h, 2
-
-
-def minor_columns(n: int, crosses: Sequence[Root], xi: Root) -> tuple[int, ...]:
-    """Columns of the characteristic minor of xi = (k,t): the j <= t whose
-    image under the product through xi is at least h."""
-    _, t = xi
-    w_xi = reflections_through(n, crosses, xi)
-    h = w_xi(t)
-    return tuple(j for j in range(1, t + 1) if w_xi(j) >= h)
+        cols = tuple(j for j in range(1, t + 1) if images[j - 1] >= h)
+        if cols != tuple(range(cols[0], t + 1)):
+            raise ConstructionError(f"columns of {xi} are not a segment ending at {t}: {cols}")
+        if case == 1:
+            rows = tuple(sorted(images[j - 1] for j in cols))
+        else:
+            rows = tuple(range(h, t + 1)) + tuple(
+                i for i in range(t + 1, n + 1) if images[i - 1] < h
+            )
+        if len(rows) != len(cols):
+            raise ConstructionError(f"row and column counts differ for {xi}: {rows} vs {cols}")
+        result.append(CrossData(xi, Permutation(tuple(images)), h, case, cols, rows))
+    return tuple(result)
 
 
 class _ColumnProducts:
-    """Lazy cache of per-column reflection products for chain stepping."""
+    """Reflection products for the chain steps of one cross xi: ``through``
+    over the crosses of xi's column down to xi, and, cached on first use,
+    the product over each column."""
 
-    def __init__(self, n: int, crosses: Sequence[Root]):
+    def __init__(self, n: int, crosses: Sequence[Root], xi: Root):
         self.n = n
         self.crosses = list(crosses)
+        self.through = reflection_product(
+            n, [r for r in crosses if r[1] == xi[1] and prec_key(r) <= prec_key(xi)]
+        )
         self._cache: dict[int, Permutation] = {}
 
     def __call__(self, t: int) -> Permutation:
@@ -194,17 +203,17 @@ class _ColumnProducts:
         return self._cache[t]
 
 
-def _descend_once(n, crosses, xi, v, columns: _ColumnProducts):
-    """One chain step from v: run the reflection sequence down the columns
-    and return the first value below v, or None when nothing descends.
+def _descend_once(t: int, v: int, columns: _ColumnProducts):
+    """One chain step from v for a cross in column t: run the reflection
+    sequence down the columns and return the first value below v, or None
+    when nothing descends.
 
     The running value can only grow while it stays at or above v (it jumps
     up through crosses in its row); the first drop lands on the index of
     the column that produced it, and later values are irrelevant.
     """
-    t = xi[1]
     if v > t:
-        u = _column_reflections_through(n, crosses, xi)(v)
+        u = columns.through(v)
         if u < v:
             return u
         start = t - 1
@@ -218,31 +227,31 @@ def _descend_once(n, crosses, xi, v, columns: _ColumnProducts):
     return None
 
 
-def _chain(n, crosses, xi, i, c, h, columns: _ColumnProducts) -> list[int]:
+def _chain(data: CrossData, i: int, columns: _ColumnProducts) -> list[int]:
+    c, h = data.cols[0], data.h
     chain = [i]
     v = i
     while not (c <= v < h):
-        nxt = _descend_once(n, crosses, xi, v, columns)
+        nxt = _descend_once(data.xi[1], v, columns)
         if nxt is None:
-            raise InputError(f"row {v} admits no descent for cross {xi}")
+            raise InputError(f"row {v} admits no descent for cross {data.xi}")
         chain.append(nxt)
         v = nxt
     return chain
 
 
 def descent_chain(
-    n: int, crosses: Sequence[Root], xi: Root, i: int
+    n: int, crosses: Sequence[Root], data: CrossData, i: int
 ) -> list[int]:
-    """Descending chain from row i down to the window [c, h).
+    """Descending chain from row i down to the window [c, h) of the cross
+    ``data`` describes.
 
-    Only defined when xi is a case-2 cross; raises InputError for case-1
-    crosses and for rows that admit no descent.
+    Only defined for a case-2 cross; raises InputError for case-1 crosses
+    and for rows that admit no descent.
     """
-    h, case = case_of(n, crosses, xi)
-    if case != 2:
-        raise InputError(f"chains are defined only for case-2 crosses, {xi} is case 1")
-    c = min(minor_columns(n, crosses, xi))
-    return _chain(n, crosses, xi, i, c, h, _ColumnProducts(n, crosses))
+    if data.case != 2:
+        raise InputError(f"chains are defined only for case-2 crosses, {data.xi} is case 1")
+    return _chain(data, i, _ColumnProducts(n, crosses, data.xi))
 
 
 @dataclass(frozen=True)
@@ -299,30 +308,29 @@ def _runs(values: list[int]) -> list[tuple[int, ...]]:
 
 
 def segment_data(
-    ideal: RegularIdeal,
-    crosses: Sequence[Root],
-    xi: Root,
-    cols: Sequence[int],
+    ideal: RegularIdeal, crosses: Sequence[Root], data: CrossData
 ) -> SegmentData:
     """Chains, chained/unchained split, and the degree prediction d_star for
-    a case-2 cross with minor columns ``cols``."""
+    the case-2 cross ``data`` describes."""
     n = ideal.n
+    xi = data.xi
     k, t = xi
-    h, case = case_of(n, crosses, xi)
-    if case != 2:
+    h, cols = data.h, data.cols
+    if data.case != 2:
         raise InputError(f"segment data is defined only for case-2 crosses, {xi} is case 1")
-    c = min(cols)
+    c = cols[0]
     col_end = max(i for i in range(1, n + 1) if i <= t or (i, t) not in ideal)
-    w_xi = reflections_through(n, crosses, xi)
-    i_star = tuple(i for i in range(t + 1, n + 1) if w_xi(i) < h)
+    # The case-2 rows are [h,t] followed by the rows above t whose image
+    # falls below h.
+    i_star = data.rows[t - h + 1:]
 
     if k not in i_star:
         raise ConstructionError(f"cross row {k} missing from the extra rows of {xi}")
     if any(i > col_end for i in i_star):
         raise ConstructionError(f"extra rows of {xi} leave the column window")
 
-    columns = _ColumnProducts(n, crosses)
-    chains = tuple(tuple(_chain(n, crosses, xi, i, c, h, columns)) for i in i_star)
+    columns = _ColumnProducts(n, crosses, xi)
+    chains = tuple(tuple(_chain(data, i, columns)) for i in i_star)
     covered: set[int] = set()
     for chain in chains:
         if covered & set(chain):
@@ -356,7 +364,7 @@ def segment_data(
             break
     d_star = sum(len(run) for run in unchained_segments[:nu])
     return SegmentData(
-        xi=(k, t),
+        xi=xi,
         h=h,
         c=c,
         col_end=col_end,

@@ -8,15 +8,14 @@ from regfactor import (
     build_diagram,
     characteristic_matrix,
     close_ideal,
+    cross_data,
     all_invariants,
     invariant_for,
     jacobian_rank,
     minor_lambda,
-    minor_support,
     poisson_bracket_generator,
     triangular_decomposition,
 )
-from regfactor.weyl import case_of
 from helpers import (
     N7_CROSSES,
     assert_unit_coefficients,
@@ -27,26 +26,12 @@ from helpers import (
 )
 
 
-def test_case_of_reference():
-    assert case_of(7, N7_CROSSES, (5, 4)) == (5, 1)
-    assert case_of(7, N7_CROSSES, (7, 4)) == (3, 2)
-    assert case_of(7, N7_CROSSES, (4, 1)) == (4, 1)
-    with pytest.raises(InputError):
-        case_of(7, N7_CROSSES, (4, 2))
-
-
 def test_minor_support_reference():
-    assert minor_support(7, N7_CROSSES, (5, 4)).to_json() == {
-        "rows": [5, 6, 7],
-        "cols": [2, 3, 4],
-    }
-    spec4 = minor_support(7, N7_CROSSES, (7, 4))
-    assert spec4.rows == (3, 4, 6, 7)
-    assert spec4.cols == (1, 2, 3, 4)
-    assert minor_support(7, N7_CROSSES, (4, 1)).to_json() == {
-        "rows": [4],
-        "cols": [1],
-    }
+    data = {d.xi: d for d in cross_data(7, N7_CROSSES)}
+    assert (data[(5, 4)].rows, data[(5, 4)].cols) == ((5, 6, 7), (2, 3, 4))
+    assert data[(7, 4)].rows == (3, 4, 6, 7)
+    assert data[(7, 4)].cols == (1, 2, 3, 4)
+    assert (data[(4, 1)].rows, data[(4, 1)].cols) == ((4,), (1,))
 
 
 def test_reference_invariants():

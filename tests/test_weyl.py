@@ -6,26 +6,31 @@ from regfactor import (
     ConstructionError,
     InputError,
     Permutation,
+    all_invariants,
     build_diagram,
-    case_of,
     close_ideal,
     column_max_permutation,
+    cross_data,
     descent_chain,
+    invariant_for,
     inversions,
-    minor_columns,
     reflection_product,
     reflections_in_column,
-    reflections_through,
     reflections_up_to,
     segment_data,
 )
 from helpers import (
     N7_CROSSES,
     N7_W,
+    all_regular_ideals,
     count_inversions_brute,
     n7_ideal,
     random_ideals,
 )
+
+
+def n7_cross(xi):
+    return next(d for d in cross_data(7, N7_CROSSES) if d.xi == xi)
 
 
 def test_permutation_basics():
@@ -56,16 +61,23 @@ def test_reflection_product_examples():
 
 
 def test_product_family_examples():
-    w4 = reflections_through(7, N7_CROSSES, (7, 4))
+    w4 = n7_cross((7, 4)).w
     assert w4(4) == 3
     assert w4(7) == 1
     w2 = reflections_up_to(7, N7_CROSSES, 2)
     assert w2(2) == 6
     assert reflections_in_column(7, N7_CROSSES, 4)(4) == 5
+    assert [d.xi for d in cross_data(7, N7_CROSSES)] == list(N7_CROSSES)
+    assert cross_data(7, N7_CROSSES)[-1].w.images == N7_W
+    assert cross_data(7, []) == ()
     with pytest.raises(InputError):
-        reflections_through(7, N7_CROSSES, (9, 9))
+        cross_data(7, [(9, 9)])
     with pytest.raises(InputError):
-        reflections_through(7, N7_CROSSES, (5, 2))  # not a cross
+        cross_data(7, N7_CROSSES + ((5, 2),))  # breaks the decreasing order
+    with pytest.raises(InputError):
+        invariant_for(n7_ideal(), N7_CROSSES, (9, 9))
+    with pytest.raises(InputError):
+        invariant_for(n7_ideal(), N7_CROSSES, (5, 2))  # not a cross
 
 
 def test_inversions_examples():
@@ -80,36 +92,46 @@ def test_inversions_match_brute_count():
         assert inversions(w) == count_inversions_brute(w.images)
 
 
-def test_case_of_examples():
-    assert case_of(7, N7_CROSSES, (5, 4)) == (5, 1)
-    assert case_of(7, N7_CROSSES, (7, 4)) == (3, 2)
-    assert case_of(7, N7_CROSSES, (4, 1)) == (4, 1)
+def test_case_split_examples():
+    assert (n7_cross((5, 4)).h, n7_cross((5, 4)).case) == (5, 1)
+    assert (n7_cross((7, 4)).h, n7_cross((7, 4)).case) == (3, 2)
+    assert (n7_cross((4, 1)).h, n7_cross((4, 1)).case) == (4, 1)
     with pytest.raises(InputError):
-        case_of(7, N7_CROSSES, (4, 2))
+        invariant_for(n7_ideal(), N7_CROSSES, (4, 2))  # not a cross
+
+
+def test_cross_data_rejects_broken_case_split():
+    # decreasing root lists that are not the crosses of any diagram
+    with pytest.raises(ConstructionError, match=r"case-1 cross \(3, 2\) maps its column to 4 != 3"):
+        cross_data(4, [(4, 1), (3, 1), (3, 2)])
+    with pytest.raises(ConstructionError, match=r"cross \(4, 3\) fixes its own column index"):
+        cross_data(4, [(3, 1), (2, 1), (4, 2), (4, 3)])
+    with pytest.raises(ConstructionError, match=r"columns of \(4, 3\) are not a segment ending at 3"):
+        cross_data(4, [(4, 1), (4, 2), (4, 3)])
 
 
 def test_descent_chain_examples():
-    assert descent_chain(7, N7_CROSSES, (7, 4), 7) == [7, 4, 1]
-    assert descent_chain(7, N7_CROSSES, (7, 4), 6) == [6, 2]
+    assert descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 7) == [7, 4, 1]
+    assert descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 6) == [6, 2]
 
 
 def test_descent_chain_errors():
     # case-1 cross: chains undefined
     crosses = build_diagram(close_ideal(4, [])).crosses
+    case1 = next(d for d in cross_data(4, crosses) if d.xi == (3, 2))
     with pytest.raises(InputError):
-        descent_chain(4, crosses, (3, 2), 4)
+        descent_chain(4, crosses, case1, 4)
     # rows without a descent (unchained rows of the n=7 case-2 cross)
     with pytest.raises(InputError):
-        descent_chain(7, N7_CROSSES, (7, 4), 5)
+        descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 5)
     with pytest.raises(InputError):
-        descent_chain(7, N7_CROSSES, (7, 4), 3)
+        descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 3)
 
 
 def test_segment_data_reference():
     ideal = n7_ideal()
-    cols = minor_columns(7, N7_CROSSES, (7, 4))
-    assert cols == (1, 2, 3, 4)
-    data = segment_data(ideal, N7_CROSSES, (7, 4), cols)
+    assert n7_cross((7, 4)).cols == (1, 2, 3, 4)
+    data = segment_data(ideal, N7_CROSSES, n7_cross((7, 4)))
     assert data.h == 3 and data.c == 1 and data.col_end == 7
     assert data.i_star == (6, 7)
     assert set(data.chains) == {(7, 4, 1), (6, 2)}
@@ -132,11 +154,11 @@ def test_descent_chain_takes_first_drop():
     # chains collide and leave 2 unreachable)
     ideal = close_ideal(7, [(4, 1), (7, 2), (7, 3)])
     crosses = build_diagram(ideal).crosses
-    assert case_of(7, crosses, (7, 5)) == (4, 2)
-    assert descent_chain(7, crosses, (7, 5), 7) == [7, 5, 2]
-    assert descent_chain(7, crosses, (7, 5), 6) == [6, 3]
-    cols = minor_columns(7, crosses, (7, 5))
-    data = segment_data(ideal, crosses, (7, 5), cols)
+    xi = next(d for d in cross_data(7, crosses) if d.xi == (7, 5))
+    assert (xi.h, xi.case) == (4, 2)
+    assert descent_chain(7, crosses, xi, 7) == [7, 5, 2]
+    assert descent_chain(7, crosses, xi, 6) == [6, 3]
+    data = segment_data(ideal, crosses, xi)
     assert {c[-1] for c in data.chains} == {2, 3}
     assert data.d_star == 1
 
@@ -144,9 +166,9 @@ def test_descent_chain_takes_first_drop():
 def test_segment_data_case1_rejected():
     ideal = close_ideal(4, [])
     crosses = build_diagram(ideal).crosses
-    cols = minor_columns(4, crosses, (3, 2))
+    case1 = next(d for d in cross_data(4, crosses) if d.xi == (3, 2))
     with pytest.raises(InputError):
-        segment_data(ideal, crosses, (3, 2), cols)
+        segment_data(ideal, crosses, case1)
 
 
 def test_reflection_product_equals_column_max_everywhere():
@@ -165,30 +187,27 @@ def test_product_through_agrees_left_of_the_cross():
         n = ideal.n
         crosses = build_diagram(ideal).crosses
         w = column_max_permutation(ideal)
-        for xi in crosses:
-            w_xi = reflections_through(n, crosses, xi)
-            for j in range(1, xi[1]):
-                assert w_xi(j) == w(j)
+        for data in cross_data(n, crosses):
+            for j in range(1, data.xi[1]):
+                assert data.w(j) == w(j)
 
 
 def test_product_through_negates_its_own_cross():
     for ideal in random_ideals(25, seed=205):
         crosses = build_diagram(ideal).crosses
-        for xi in crosses:
-            w_xi = reflections_through(ideal.n, crosses, xi)
-            assert not w_xi.sends_positive(xi)
+        for data in cross_data(ideal.n, crosses):
+            assert not data.w.sends_positive(data.xi)
 
 
 def test_segment_data_invariants_random():
     for ideal in random_ideals(40, seed=206):
         n = ideal.n
         crosses = build_diagram(ideal).crosses
-        for xi in crosses:
-            h, case = case_of(n, crosses, xi)
-            if case != 2:
+        for xi_data in cross_data(n, crosses):
+            if xi_data.case != 2:
                 continue
-            cols = minor_columns(n, crosses, xi)
-            data = segment_data(ideal, crosses, xi, cols)
+            xi = xi_data.xi
+            data = segment_data(ideal, crosses, xi_data)
             window = set(range(data.h, data.col_end + 1))
             assert set(data.chained) | set(data.unchained) == window
             assert not set(data.chained) & set(data.unchained)
@@ -211,30 +230,47 @@ def test_segment_data_invariants_random():
 def test_case_split_is_exhaustive():
     for ideal in random_ideals(30, seed=207):
         crosses = build_diagram(ideal).crosses
-        for xi in crosses:
-            h, case = case_of(ideal.n, crosses, xi)
-            assert case in (1, 2)
-            if case == 1:
-                assert h == xi[0]
+        for data in cross_data(ideal.n, crosses):
+            assert data.case in (1, 2)
+            if data.case == 1:
+                assert data.h == data.xi[0]
             else:
-                assert h < xi[1]
+                assert data.h < data.xi[1]
 
 
 def test_to_json_segment_data():
     ideal = n7_ideal()
-    cols = minor_columns(7, N7_CROSSES, (7, 4))
-    doc = segment_data(ideal, N7_CROSSES, (7, 4), cols).to_json()
+    doc = segment_data(ideal, N7_CROSSES, n7_cross((7, 4))).to_json()
     assert doc["xi"] == [7, 4]
     assert doc["d_star"] == 1
     assert doc["chains"] == [[6, 2], [7, 4, 1]]
 
 
 def test_construction_error_is_not_raised_for_valid_instances():
-    # case_of must never see h == t on crosses of real diagrams
+    # cross_data must never see h == t, nor a malformed minor, on crosses
+    # of real diagrams
     for ideal in random_ideals(30, seed=208):
         crosses = build_diagram(ideal).crosses
-        for xi in crosses:
-            try:
-                case_of(ideal.n, crosses, xi)
-            except ConstructionError as exc:  # pragma: no cover
-                pytest.fail(f"unexpected construction error: {exc}")
+        try:
+            cross_data(ideal.n, crosses)
+        except ConstructionError as exc:  # pragma: no cover
+            pytest.fail(f"unexpected construction error: {exc}")
+
+
+def test_cross_data_exhaustive():
+    # every cross of every regular ideal with n <= 6, against the product
+    # through it built from scratch and against the invariant records
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            crosses = build_diagram(ideal).crosses
+            data = cross_data(n, crosses)
+            records = all_invariants(ideal)
+            assert [d.xi for d in data] == [r.xi for r in records] == list(crosses)
+            for m, (d, record) in enumerate(zip(data, records)):
+                k, t = d.xi
+                w = reflection_product(n, crosses[: m + 1])
+                assert d.w == w
+                assert d.h == w(t)
+                assert d.case == (1 if w(t) > t else 2)
+                assert d.cols == tuple(j for j in range(1, t + 1) if w(j) >= w(t))
+                assert (d.rows, d.cols, d.case) == (record.rows, record.cols, record.case)

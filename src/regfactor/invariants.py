@@ -57,10 +57,11 @@ class InvariantRecord:
 
 
 def _record(
-    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, matrix: CharMatrix
+    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, matrix: CharMatrix, column
 ) -> InvariantRecord:
     """Assemble the record for one cross, checking every structural
-    expectation along the way (raises ConstructionError on violation)."""
+    expectation along the way (raises ConstructionError on violation).
+    ``column`` holds the per-column reflection products of ``crosses``."""
     xi = data.xi
     spec = MinorSpec(data.rows, data.cols)
     degree, top = minor_top(matrix, spec)
@@ -72,7 +73,7 @@ def _record(
         if degree != 0:
             raise ConstructionError(f"case-1 minor of {xi} has degree {degree}")
     else:
-        d_star = weyl.segment_data(ideal, crosses, data).d_star
+        d_star = weyl._segment_data(ideal, crosses, data, column).d_star
         if degree != d_star:
             raise ConstructionError(
                 f"minor of {xi} has degree {degree}, segment data predicts {d_star}"
@@ -103,7 +104,7 @@ def invariant_for(
         matrix = characteristic_matrix(ideal)
     for data in weyl.cross_data(ideal.n, crosses):
         if data.xi == tuple(xi):
-            return _record(ideal, crosses, data, matrix)
+            return _record(ideal, crosses, data, matrix, weyl._column_products(ideal.n, crosses))
     raise InputError(f"{xi} is not a cross of the diagram")
 
 
@@ -115,8 +116,9 @@ def all_invariants(
     if diagram is None:
         diagram = build_diagram(ideal)
     matrix = characteristic_matrix(ideal)
+    column = weyl._column_products(ideal.n, diagram.crosses)
     return [
-        _record(ideal, diagram.crosses, data, matrix)
+        _record(ideal, diagram.crosses, data, matrix, column)
         for data in weyl.cross_data(ideal.n, diagram.crosses)
     ]
 

@@ -14,6 +14,9 @@ from typing import Sequence
 
 from .errors import InputError
 
+# The exact number types; a bool or a float is neither.
+EXACT_TYPES = frozenset({int, Fraction})
+
 
 def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
     out = []
@@ -23,7 +26,7 @@ def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
             raise InputError(f"row of length {len(row)} in a matrix of {n_cols} columns")
         kinds = set(map(type, row))
         if not kinds <= {int}:
-            if not kinds <= {int, Fraction}:
+            if not kinds <= EXACT_TYPES:
                 raise InputError("matrix entries must be int or Fraction")
             scale = lcm(*(Fraction(x).denominator for x in row))
             row = [int(x * scale) for x in row]

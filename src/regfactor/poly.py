@@ -1,6 +1,7 @@
 """Exact sparse polynomials in root variables.
 
-Coefficients are rationals throughout; there is no floating point anywhere.
+Coefficients and point values are ``int``, or ``Fraction`` where input brings
+one (a parsed ``p/q`` term, say); any other type raises InputError.
 A monomial is a tuple of (root, exponent) pairs with the roots in
 decreasing column order.  Polynomials print and iterate in a canonical
 order: higher total degree first, ties broken lexicographically on the
@@ -19,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
 from .errors import InputError
+from .linalg import EXACT_TYPES
 from .roots import RegularIdeal, Root, prec_key
 
 Monomial = tuple[tuple[Root, int], ...]
@@ -72,18 +74,15 @@ def _mono_str(m: Monomial) -> str:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with int or Fraction coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                coef = Fraction(coef)
-                if coef:
-                    clean[mono] = coef
-        object.__setattr__(self, "terms", clean)
+        terms = terms or {}
+        if not set(map(type, terms.values())) <= EXACT_TYPES:
+            raise InputError("polynomial coefficients must be int or Fraction")
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -94,11 +93,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({_ONE: Fraction(value)})
+        return cls({_ONE: value})
 
     @classmethod
     def variable(cls, root: Root) -> "Polynomial":
-        return cls({((tuple(root), 1),): Fraction(1)})
+        return cls({((tuple(root), 1),): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -113,7 +112,7 @@ class Polynomial:
     def variables(self) -> set[Root]:
         return {r for m in self.terms for r, _ in m}
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
 
     def leading_monomial(self) -> Monomial:
@@ -143,11 +142,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, coef in other.terms.items():
-            acc = out.get(mono, 0) + coef
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + coef
         return Polynomial(out)
 
     __radd__ = __add__
@@ -168,15 +163,11 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = _mono_mul(ma, mb)
-                acc = out.get(mono, 0) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + ca * cb
         return Polynomial(out)
 
     __rmul__ = __mul__
@@ -231,7 +222,7 @@ class Polynomial:
     def derivative(self, root: Root) -> "Polynomial":
         """Partial derivative with respect to one root variable."""
         root = tuple(root)
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coef in self.terms.items():
             for pos, (r, e) in enumerate(mono):
                 if r == root:
@@ -239,23 +230,21 @@ class Polynomial:
                         reduced = mono[:pos] + mono[pos + 1 :]
                     else:
                         reduced = mono[:pos] + ((r, e - 1),) + mono[pos + 1 :]
-                    acc = out.get(reduced, 0) + coef * e
-                    if acc:
-                        out[reduced] = acc
-                    else:
-                        out.pop(reduced, None)
+                    out[reduced] = out.get(reduced, 0) + coef * e
                     break
         return Polynomial(out)
 
-    def evaluate(self, point: Mapping[Root, Scalar]) -> Fraction:
-        """Exact value at a point assigning every variable of the polynomial."""
-        total = Fraction(0)
+    def evaluate(self, point: Mapping[Root, Scalar]) -> Scalar:
+        """Exact value at a point assigning every variable of the polynomial;
+        an ``int`` when the coefficients and the point are integers."""
+        total = 0
         for mono, coef in self.terms.items():
             value = coef
             for r, e in mono:
-                if r not in point:
-                    raise InputError(f"no value supplied for variable y[{r[0]},{r[1]}]")
-                value = value * Fraction(point[r]) ** e
+                x = point.get(r)
+                if type(x) not in EXACT_TYPES:
+                    raise InputError(f"y[{r[0]},{r[1]}] needs an int or Fraction value, got {x!r}")
+                value = value * x ** e
             total += value
         return total
 
@@ -304,7 +293,8 @@ def parse_polynomial(text: str) -> Polynomial:
         match = _TERM_RE.fullmatch(piece)
         if not match or (not match.group("coef") and not match.group("vars")):
             raise InputError(f"cannot parse polynomial term {piece!r}")
-        coef = Fraction(match.group("coef")) if match.group("coef") else Fraction(1)
+        coef = match.group("coef") or "1"
+        coef = Fraction(coef) if "/" in coef else int(coef)
         mono: Monomial = _ONE
         for var in _VAR_RE.finditer(match.group("vars") or ""):
             i, j, e = int(var.group(1)), int(var.group(2)), int(var.group(3) or 1)

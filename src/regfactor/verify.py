@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .invariants import InvariantRecord, all_invariants, triangular_decompositio
 from .poly import (
     Monomial,
     Polynomial,
+    Scalar,
     bracket_single,
     jacobian_rank,
     poisson_bracket_generator,
@@ -46,19 +46,21 @@ def _primes(count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A linear form on the factor: one rational per root outside the ideal.
+    """A linear form on the factor: one int or Fraction per root outside the ideal.
 
     The matrix view is strictly upper triangular with the value of root
     (k,t) stored at row t, column k, and zeros on the ideal-dual cells.
     """
 
     ideal: RegularIdeal
-    coords: dict[Root, Fraction]
+    coords: dict[Root, Scalar]
 
     def __post_init__(self):
         free = set(self.ideal.free_roots())
         if set(self.coords) != free:
             raise InputError("point must assign exactly the roots outside the ideal")
+        if not set(map(type, self.coords.values())) <= linalg.EXACT_TYPES:
+            raise InputError("point coordinates must be int or Fraction")
 
     @classmethod
     def from_values(cls, ideal: RegularIdeal, values) -> "DualPoint":
@@ -91,7 +93,7 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A lower unitriangular matrix with rational entries."""
+    """A lower unitriangular matrix with int or Fraction entries."""
 
     rows: tuple[tuple, ...]
 
@@ -396,8 +398,7 @@ def oracle_invariants(
                         row = equations[key] = [0] * len(members)
                     row[col] += sign
         for vector in linalg.nullspace(list(equations.values()), len(members)):
-            poly = Polynomial({m: v for (m, _), v in zip(members, vector) if v})
-            basis.append(poly.normalize_sign())
+            basis.append(Polynomial({m: v for (m, _), v in zip(members, vector)}).normalize_sign())
     basis.sort(key=lambda p: (p.degree(), str(p)))
     return basis
 

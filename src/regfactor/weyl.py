@@ -8,6 +8,7 @@ to ``r1(r2(x))``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -184,26 +185,20 @@ def cross_data(n: int, crosses: Sequence[Root]) -> tuple[CrossData, ...]:
     return tuple(result)
 
 
-class _ColumnProducts:
-    """Reflection products for the chain steps of one cross xi: ``through``
-    over the crosses of xi's column down to xi, and, cached on first use,
-    the product over each column."""
-
-    def __init__(self, n: int, crosses: Sequence[Root], xi: Root):
-        self.n = n
-        self.crosses = list(crosses)
-        self.through = reflection_product(
-            n, [r for r in crosses if r[1] == xi[1] and prec_key(r) <= prec_key(xi)]
-        )
-        self._cache: dict[int, Permutation] = {}
-
-    def __call__(self, t: int) -> Permutation:
-        if t not in self._cache:
-            self._cache[t] = reflections_in_column(self.n, self.crosses, t)
-        return self._cache[t]
+def _column_products(n: int, crosses: Sequence[Root]):
+    """The product over each column's crosses, built on first use and then
+    shared by every chain that passes the column."""
+    return functools.cache(lambda t: reflections_in_column(n, crosses, t))
 
 
-def _descend_once(t: int, v: int, columns: _ColumnProducts):
+def _through(n: int, crosses: Sequence[Root], xi: Root) -> Permutation:
+    """Product over the crosses of xi's column down to xi."""
+    return reflection_product(
+        n, [r for r in crosses if r[1] == xi[1] and prec_key(r) <= prec_key(xi)]
+    )
+
+
+def _descend_once(t: int, v: int, through: Permutation, column):
     """One chain step from v for a cross in column t: run the reflection
     sequence down the columns and return the first value below v, or None
     when nothing descends.
@@ -213,7 +208,7 @@ def _descend_once(t: int, v: int, columns: _ColumnProducts):
     the column that produced it, and later values are irrelevant.
     """
     if v > t:
-        u = columns.through(v)
+        u = through(v)
         if u < v:
             return u
         start = t - 1
@@ -221,18 +216,18 @@ def _descend_once(t: int, v: int, columns: _ColumnProducts):
         u = v
         start = v - 1
     for c in range(start, 0, -1):
-        u = columns(c)(u)
+        u = column(c)(u)
         if u < v:
             return u
     return None
 
 
-def _chain(data: CrossData, i: int, columns: _ColumnProducts) -> list[int]:
+def _chain(data: CrossData, i: int, through: Permutation, column) -> list[int]:
     c, h = data.cols[0], data.h
     chain = [i]
     v = i
     while not (c <= v < h):
-        nxt = _descend_once(data.xi[1], v, columns)
+        nxt = _descend_once(data.xi[1], v, through, column)
         if nxt is None:
             raise InputError(f"row {v} admits no descent for cross {data.xi}")
         chain.append(nxt)
@@ -251,7 +246,7 @@ def descent_chain(
     """
     if data.case != 2:
         raise InputError(f"chains are defined only for case-2 crosses, {data.xi} is case 1")
-    return _chain(data, i, _ColumnProducts(n, crosses, data.xi))
+    return _chain(data, i, _through(n, crosses, data.xi), _column_products(n, crosses))
 
 
 @dataclass(frozen=True)
@@ -312,6 +307,14 @@ def segment_data(
 ) -> SegmentData:
     """Chains, chained/unchained split, and the degree prediction d_star for
     the case-2 cross ``data`` describes."""
+    return _segment_data(ideal, crosses, data, _column_products(ideal.n, crosses))
+
+
+def _segment_data(
+    ideal: RegularIdeal, crosses: Sequence[Root], data: CrossData, column
+) -> SegmentData:
+    """``segment_data`` on the column products ``column``, which the crosses
+    of one diagram share."""
     n = ideal.n
     xi = data.xi
     k, t = xi
@@ -329,8 +332,8 @@ def segment_data(
     if any(i > col_end for i in i_star):
         raise ConstructionError(f"extra rows of {xi} leave the column window")
 
-    columns = _ColumnProducts(n, crosses, xi)
-    chains = tuple(tuple(_chain(data, i, columns)) for i in i_star)
+    through = _through(n, crosses, xi)
+    chains = tuple(tuple(_chain(data, i, through, column)) for i in i_star)
     covered: set[int] = set()
     for chain in chains:
         if covered & set(chain):

@@ -172,12 +172,18 @@ def all_regular_ideals(n: int) -> list[RegularIdeal]:
     return out
 
 
+def assert_int_coefficients(poly: Polynomial) -> None:
+    """Every coefficient is a plain int: integer work makes no Fraction."""
+    assert all(type(c) is int for c in poly.terms.values()), repr(poly.terms)
+
+
 def assert_unit_coefficients(poly: Polynomial) -> None:
-    """Every coefficient is +1 or -1: a characteristic minor has no
+    """Every coefficient is the int +1 or -1: a characteristic minor has no
     cancellation, so its highest coefficient is a signed sum of distinct
     monomials."""
     assert not poly.is_zero
     assert all(abs(c) == 1 for c in poly.terms.values()), str(poly)
+    assert_int_coefficients(poly)
 
 
 def random_ideal(rng: random.Random, n: int | None = None, n_max: int = 8) -> RegularIdeal:

@@ -1,6 +1,8 @@
 """Command-line behavior: output documents, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +197,39 @@ def test_json_documents_round_trip(problem, capsys):
         assert code == 0
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
+
+
+# sha256 of stdout for the n=7 reference (problems/n7_regular_ideal.json)
+# and the n=7 free factor.  test_byte_identical_reruns only compares two
+# runs of the same code; these pins also catch a drift in how numbers print.
+GOLDEN_STDOUT = {
+    ("reference", "invariants", "text"):
+        "90aa57e6c3fe46ec0e14270daabad61f7a4cd06f629a07d058e90fc8f2bd5beb",
+    ("reference", "invariants", "json"):
+        "a80e83ac0c6835c90ac11234cb3391e47ec34509ce215f670f1aa0108992bee0",
+    ("reference", "verify", "text"):
+        "3c71140842304b2a6a9f3d6ca2913d1ece92b00d90b39fd7f11b6d9e17e5f9c0",
+    ("reference", "verify", "json"):
+        "11fd8e327e3daa1d9b027459b9e8cb4842b4c64f45c979471b237e8beab16400",
+    ("free", "invariants", "text"):
+        "bba030509fff8186fb2d74fee32b53b564e0caf502ca1f6a9bcd13ea2c25e03c",
+    ("free", "invariants", "json"):
+        "d043baf86fa2f6800eb0d58106382ea77d2c963ade143114259b2c1f666cf618",
+    ("free", "verify", "text"):
+        "a2775fadb9525d6843d9bdc11d7c3a88550df91944300136de6662474ce5b358",
+    ("free", "verify", "json"):
+        "546aff4bb751de027533a2a2f82730d49018a7b1c623d5edccf9af4e1fb5a539",
+}
+
+
+@pytest.mark.parametrize("instance,command,fmt", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(instance, command, fmt, tmp_path, capsys):
+    if instance == "reference":
+        path = Path(__file__).parent.parent / "problems" / "n7_regular_ideal.json"
+    else:
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({"n": 7, "ideal_generators": []}))
+    extra = ["--seed", "0"] if command == "verify" else []
+    code, out, err = run(capsys, command, str(path), *extra, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[instance, command, fmt]

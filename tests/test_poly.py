@@ -19,7 +19,7 @@ from regfactor import (
     positive_roots,
     reduce_mod_ideal,
 )
-from helpers import n7_ideal, random_polynomial, y
+from helpers import assert_int_coefficients, n7_ideal, random_polynomial, y
 
 
 # --- hypothesis strategies over a fixed n=5 variable pool ------------------
@@ -62,6 +62,28 @@ def test_basic_arithmetic():
     assert p * 0 == Polynomial.zero()
     assert y(2, 1) ** 3 == y(2, 1) * y(2, 1) * y(2, 1)
     assert Polynomial.constant(Fraction(1, 2)) * 2 == 1
+
+
+def test_numbers_must_be_int_or_fraction():
+    # no silent coercion: a float, bool, string or None coefficient raises
+    mono = (((2, 1), 1),)
+    for bad in (0.5, True, "1", None):
+        with pytest.raises(InputError):
+            Polynomial({mono: bad})
+    with pytest.raises(InputError):
+        y(2, 1) + True
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(InputError):
+            y(2, 1).evaluate({(2, 1): bad})
+
+
+def test_integer_work_stays_int():
+    p = (2 * y(3, 1) - y(2, 1) * y(3, 2)) ** 2
+    assert_int_coefficients(p)
+    assert_int_coefficients(p.derivative((3, 1)))
+    assert type(p.evaluate({(3, 1): 2, (2, 1): 1, (3, 2): 3})) is int
+    assert type(Polynomial.zero().evaluate({})) is int
+    assert type(parse_polynomial("3*y[2,1] - 1").terms[()]) is int
 
 
 @settings(max_examples=60, deadline=None)

@@ -25,7 +25,14 @@ from regfactor import (
     positive_roots,
     skew_rank_stats,
 )
-from helpers import all_regular_ideals, n7_ideal, random_ideals, reference_oracle, y
+from helpers import (
+    all_regular_ideals,
+    assert_int_coefficients,
+    n7_ideal,
+    random_ideals,
+    reference_oracle,
+    y,
+)
 
 
 def test_identity_acts_trivially():
@@ -78,6 +85,10 @@ def test_dual_point_validation():
     ideal = n7_ideal()
     with pytest.raises(InputError):
         DualPoint(ideal, {(2, 1): Fraction(1)})
+    values = dict(DualPoint.prime_point(ideal).coords)
+    values[(4, 1)] = 2.0
+    with pytest.raises(InputError):
+        DualPoint.from_values(ideal, values)
     point = DualPoint.prime_point(ideal)
     matrix = point.matrix()
     assert matrix[0][3] == point.coords[(4, 1)]  # row t=1, column k=4
@@ -158,7 +169,10 @@ def test_oracle_budget_guard():
 def test_oracle_matches_reference_elimination():
     for n in range(1, 6):
         for ideal in all_regular_ideals(n):
-            assert oracle_invariants(ideal, 3) == reference_oracle(ideal, 3)
+            basis = oracle_invariants(ideal, 3)
+            assert basis == reference_oracle(ideal, 3)
+            for p in basis:
+                assert_int_coefficients(p)
 
 
 def test_oracle_reference_basis_pinned():

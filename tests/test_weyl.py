@@ -23,6 +23,7 @@ from helpers import (
     N7_CROSSES,
     N7_W,
     all_regular_ideals,
+    assert_unit_coefficients,
     count_inversions_brute,
     n7_ideal,
     random_ideals,
@@ -259,7 +260,8 @@ def test_construction_error_is_not_raised_for_valid_instances():
 
 def test_cross_data_exhaustive():
     # every cross of every regular ideal with n <= 6, against the product
-    # through it built from scratch and against the invariant records
+    # through it built from scratch and against the invariant records, whose
+    # invariants have int coefficients +1 and -1
     for n in range(1, 7):
         for ideal in all_regular_ideals(n):
             crosses = build_diagram(ideal).crosses
@@ -274,3 +276,4 @@ def test_cross_data_exhaustive():
                 assert d.case == (1 if w(t) > t else 2)
                 assert d.cols == tuple(j for j in range(1, t + 1) if w(j) >= w(t))
                 assert (d.rows, d.cols, d.case) == (record.rows, record.cols, record.case)
+                assert_unit_coefficients(record.invariant)

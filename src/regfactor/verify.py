@@ -99,6 +99,9 @@ class GroupElement:
 
     def __post_init__(self):
         n = len(self.rows)
+        entries = itertools.chain.from_iterable(self.rows)
+        if not set(map(type, entries)) <= linalg.EXACT_TYPES:
+            raise InputError("group element entries must be int or Fraction")
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise InputError("group element must be square")
@@ -128,6 +131,8 @@ class GroupElement:
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         n = self.n
+        if other.n != n:
+            raise InputError(f"size mismatch: group elements are {n} and {other.n}")
         a, b = self.rows, other.rows
         product = tuple(
             tuple(sum(a[i][k] * b[k][j] for k in range(j, i + 1)) for j in range(n))
@@ -152,21 +157,31 @@ class GroupElement:
 
 
 def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
-    """Conjugate the matrix view by ``g`` and project back onto the strictly
-    upper pattern; the ideal-dual cells of the result must already vanish."""
+    """Conjugate the matrix view B by ``g`` and project back onto the strictly
+    upper pattern; the ideal-dual cells of the result must already vanish.
+
+    Only the strictly upper cells of g·B·g⁻¹ are computed, the ones the
+    projection reads.  Row i of L = g·B there is the sum of g[i][m]·B[m]
+    over m <= i, and F = L·g⁻¹ solves F·g = L: back-substitution from the
+    last column, F[i][j] = L[i][j] - sum over k > j of F[i][k]·g[k][j],
+    reads only upper cells.  No inverse of ``g`` is formed.
+    """
     n = point.ideal.n
     if g.n != n:
         raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
     b = point.matrix()
-    ginv = g.inverse().rows
-    left = [
-        [sum(g.rows[i][k] * b[k][j] for k in range(i + 1)) for j in range(n)]
-        for i in range(n)
-    ]
-    full = [
-        [sum(left[i][k] * ginv[k][j] for k in range(j, n)) for j in range(n)]
-        for i in range(n)
-    ]
+    full = []
+    for i, gi in enumerate(g.rows):
+        f = [0] * n
+        for m in range(i + 1):
+            c, bm = gi[m], b[m]
+            for j in range(i + 1, n):
+                f[j] += c * bm[j]
+        for j in range(n - 1, i, -1):
+            c, gj = f[j], g.rows[j]
+            for m in range(i + 1, j):
+                f[m] -= c * gj[m]
+        full.append(f)
     coords = {}
     for (k, t) in point.ideal.free_roots():
         coords[(k, t)] = full[t - 1][k - 1]

@@ -1,7 +1,7 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 and independent oracles (permutation-sum determinant, brute inversion
-count, Fraction Gauss-Jordan elimination, per-monomial bracket oracle) that
-never touch the code paths they check."""
+count, Fraction Gauss-Jordan elimination, per-monomial bracket oracle,
+dense coadjoint conjugation) that never touch the code paths they check."""
 
 from __future__ import annotations
 
@@ -11,6 +11,10 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
 from regfactor import (
+    ConstructionError,
+    DualPoint,
+    GroupElement,
+    InputError,
     Polynomial,
     RegularIdeal,
     close_ideal,
@@ -309,3 +313,30 @@ def reference_oracle(ideal: RegularIdeal, max_degree: int) -> list[Polynomial]:
     basis.sort(key=lambda p: (p.degree(), str(p)))
     return basis
 
+
+
+def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
+    """The coadjoint move the dense way: both products g·B and (g·B)·g⁻¹ in
+    full, with an explicit inverse, then the same projection and guard."""
+    n = point.ideal.n
+    if g.n != n:
+        raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
+    b = point.matrix()
+    ginv = g.inverse().rows
+    left = [
+        [sum(g.rows[i][k] * b[k][j] for k in range(i + 1)) for j in range(n)]
+        for i in range(n)
+    ]
+    full = [
+        [sum(left[i][k] * ginv[k][j] for k in range(j, n)) for j in range(n)]
+        for i in range(n)
+    ]
+    coords = {}
+    for (k, t) in point.ideal.free_roots():
+        coords[(k, t)] = full[t - 1][k - 1]
+    for (k, t) in point.ideal.roots:
+        if full[t - 1][k - 1] != 0:
+            raise ConstructionError(
+                f"coadjoint action left a nonzero value on the ideal cell ({k},{t})"
+            )
+    return DualPoint(point.ideal, coords)

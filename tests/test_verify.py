@@ -11,10 +11,12 @@ import pytest
 
 from regfactor import (
     BudgetError,
+    ConstructionError,
     DualPoint,
     GroupElement,
     InputError,
     Polynomial,
+    RegularIdeal,
     all_invariants,
     check_invariance,
     close_ideal,
@@ -30,6 +32,7 @@ from helpers import (
     assert_int_coefficients,
     n7_ideal,
     random_ideals,
+    reference_coadjoint_act,
     reference_oracle,
     y,
 )
@@ -75,10 +78,49 @@ def test_action_preserves_ideal_annihilation():
 def test_group_element_validation_and_inverse():
     with pytest.raises(InputError):
         GroupElement(((1, 0), (2, 2)))
+    for rows in (((1, 0), (2.5, 1)), ((True, 0), (1, True)), ((1, 0), ("2", 1))):
+        with pytest.raises(InputError, match="int or Fraction"):
+            GroupElement(rows)
+    with pytest.raises(InputError, match="size mismatch"):
+        GroupElement(((1, 0), (2, 1))) * GroupElement.identity(3)
+    half = GroupElement(((1, 0), (Fraction(1, 2), 1)))
+    assert half * half.inverse() == GroupElement.identity(2)
     rng = random.Random(3)
     for n in (2, 5, 8):
         g = GroupElement.random(n, rng)
         assert g * g.inverse() == GroupElement.identity(n)
+
+
+def test_coadjoint_act_matches_dense_reference():
+    rng = random.Random(6)
+    ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
+    for ideal in ideals:
+        for _ in range(4):
+            g = GroupElement.random(ideal.n, rng)
+            point = DualPoint.random(ideal, rng)
+            assert coadjoint_act(g, point) == reference_coadjoint_act(g, point)
+    rows = [[int(i == j) for j in range(7)] for i in range(7)]
+    for i in range(7):
+        for j in range(i):
+            rows[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    g = GroupElement(tuple(map(tuple, rows)))
+    point = DualPoint.random(n7_ideal(), rng)
+    moved = coadjoint_act(g, point)
+    assert moved == reference_coadjoint_act(g, point)
+    assert any(type(v) is Fraction and v.denominator > 1 for v in moved.coords.values())
+
+
+def test_coadjoint_act_guards_ideal_cells():
+    # {(2,1)} at n=3 is not closed, since (3,1) is missing; built by hand
+    # past the closure check, so the action leaks onto its ideal cell.
+    ideal = object.__new__(RegularIdeal)
+    object.__setattr__(ideal, "n", 3)
+    object.__setattr__(ideal, "roots", frozenset({(2, 1)}))
+    point = DualPoint(ideal, {(3, 1): 1, (3, 2): 1})
+    g = GroupElement(((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+    for act in (coadjoint_act, reference_coadjoint_act):
+        with pytest.raises(ConstructionError, match=r"ideal cell \(2,1\)$"):
+            act(g, point)
 
 
 def test_dual_point_validation():
@@ -112,6 +154,12 @@ def test_check_invariance_flags_non_invariant_probe():
     assert not report.passed
     failing = [c for c in report.checks if c.status == "fail"]
     assert failing and failing[0].witness is not None
+    # The digest fixes the failing trial's index, g, point, before and after,
+    # so any change to the trial draws or to the action shows here.
+    doc = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "6e58a7bfba6f9b61b8ab531a8ef85fb5661bca14bb8d330852e3b72b03630673"
+    )
 
 
 def test_check_invariance_vacuous():

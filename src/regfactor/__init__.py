@@ -26,7 +26,6 @@ from .minors import (
     minor_degree,
     minor_lambda,
     minor_top,
-    phi_matrix,
     shift_spec,
 )
 from .poly import (
@@ -35,9 +34,7 @@ from .poly import (
     bracket_single,
     jacobian_rank,
     parse_polynomial,
-    poisson_bracket,
     poisson_bracket_generator,
-    reduce_mod_ideal,
 )
 from .roots import (
     RegularIdeal,
@@ -83,11 +80,9 @@ __all__ = [
     "BudgetError", "ConstructionError", "InputError", "RegFactorError",
     "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
     "CharMatrix", "MinorSpec", "characteristic_matrix", "enumerate_extremal",
-    "is_extremal", "minor_degree", "minor_lambda", "minor_top", "phi_matrix",
-    "shift_spec",
+    "is_extremal", "minor_degree", "minor_lambda", "minor_top", "shift_spec",
     "LambdaPolynomial", "Polynomial", "bracket_single", "jacobian_rank",
-    "parse_polynomial", "poisson_bracket", "poisson_bracket_generator",
-    "reduce_mod_ideal",
+    "parse_polynomial", "poisson_bracket_generator",
     "RegularIdeal", "Root", "close_ideal", "compare_prec", "positive_roots", "prec_key",
     "root_sum",
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",

@@ -79,21 +79,6 @@ def characteristic_matrix(ideal: RegularIdeal) -> CharMatrix:
     return CharMatrix(ideal)
 
 
-def phi_matrix(ideal: RegularIdeal) -> list[list[Polynomial]]:
-    """The plain formal matrix (no diagonal subtraction) as nested lists."""
-    n = ideal.n
-    zero = Polynomial.zero()
-    return [
-        [
-            Polynomial.variable((i, j))
-            if i > j and (i, j) not in ideal
-            else zero
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-
-
 def _check_fits(matrix: CharMatrix, spec: MinorSpec) -> None:
     n = matrix.n
     if spec.rows and (spec.rows[-1] > n or spec.cols[-1] > n):

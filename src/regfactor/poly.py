@@ -427,32 +427,6 @@ def bracket_single(a: Root, b: Root) -> Optional[tuple[int, Root]]:
     return None
 
 
-def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Full Poisson bracket, extended from the basis as a biderivation."""
-    out = Polynomial.zero()
-    for a in p.variables():
-        dp = p.derivative(a)
-        if dp.is_zero:
-            continue
-        for b in q.variables():
-            hit = bracket_single(a, b)
-            if hit is None:
-                continue
-            sign, root = hit
-            out = out + dp * q.derivative(b) * Polynomial({((root, 1),): sign})
-    return out
-
-
-def reduce_mod_ideal(p: Polynomial, ideal: RegularIdeal) -> Polynomial:
-    """Drop every monomial containing a variable from the ideal."""
-    out = {
-        mono: coef
-        for mono, coef in p.terms.items()
-        if all(r not in ideal for r, _ in mono)
-    }
-    return Polynomial(out)
-
-
 def poisson_bracket_generator(
     i: int, p: Polynomial, ideal: RegularIdeal
 ) -> Polynomial:

@@ -370,6 +370,17 @@ def oracle_invariants(
     weight of a monomial, so the kernel splits across weight components and
     each component is solved independently.  Basis elements come back with
     integer coprime coefficients and positive leading term.
+
+    Nearly every coefficient is settled before any elimination.  An
+    equation with one nonzero term forces that monomial's coefficient to
+    zero in every kernel vector, so its column is removed from every
+    equation, and this repeats until no one-term equation is left; only
+    the remaining equations, on the remaining columns in their original
+    order, go to ``linalg.nullspace``.  The basis is unchanged by this.
+    The kernel is the same, with every forced coefficient zero, so a forced
+    column is a pivot column of the reduced row echelon form; each free
+    column then gets the same reduced echelon vector, and the same positive
+    coprime scaling, as from the full system.
     """
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
@@ -380,10 +391,14 @@ def oracle_invariants(
         raise BudgetError(
             f"oracle would scan {total} monomials, budget is {budget}"
         )
-    # While the equations are built, a monomial is the sorted tuple of its
-    # variables' positions.  moves[k] lists (i, s, position of r) for each
+    # While the equations are built, a monomial is coded as the sum of
+    # base**k over its variables' positions k, counted with multiplicity,
+    # with base = max_degree + 1.  Exponents stay below base, so the code
+    # is one-to-one, and moving one copy of variable k to variable r adds
+    # base**r - base**k.  moves[k] lists (i, s, that shift) for each
     # generator (i+1,i) whose bracket with variable k is s*r, r outside the
     # ideal.
+    power = [(max_degree + 1) ** k for k in range(len(variables))]
     position = {root: k for k, root in enumerate(variables)}
     moves: list[list[tuple[int, int, int]]] = [[] for _ in variables]
     for i in range(1, n):
@@ -392,7 +407,7 @@ def oracle_invariants(
         for k, root in enumerate(variables):
             hit = bracket_single((i + 1, i), root)
             if hit is not None and hit[1] not in ideal:
-                moves[k].append((i, hit[0], position[hit[1]]))
+                moves[k].append((i, hit[0], power[position[hit[1]]] - power[k]))
     groups: dict[tuple[int, ...], list[tuple[Monomial, tuple[int, ...]]]] = {}
     for degree in range(1, max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
@@ -402,18 +417,40 @@ def oracle_invariants(
     basis: list[Polynomial] = []
     for weight in sorted(groups):
         members = sorted(groups[weight], key=lambda mc: (len(mc[0]), mc[0]))
-        equations: dict[tuple, list[int]] = {}
+        # One sparse row (column -> coefficient) per generator i and image
+        # code, keyed by code * n + i.  The bracket with b^e is
+        # s*e*(mono/b)*r: one term per copy of b.
+        equations: dict[int, dict[int, int]] = {}
         for col, (_, combo) in enumerate(members):
-            # The bracket with b^e is s*e*(mono/b)*r: one term per copy of b.
-            for p, k in enumerate(combo):
-                for i, sign, r in moves[k]:
-                    key = (i, tuple(sorted(combo[:p] + (r,) + combo[p + 1:])))
+            code = sum(power[k] for k in combo)
+            for k in combo:
+                for i, sign, shift in moves[k]:
+                    key = (code + shift) * n + i
                     row = equations.get(key)
                     if row is None:
-                        row = equations[key] = [0] * len(members)
-                    row[col] += sign
-        for vector in linalg.nullspace(list(equations.values()), len(members)):
-            basis.append(Polynomial({m: v for (m, _), v in zip(members, vector)}).normalize_sign())
+                        equations[key] = {col: sign}
+                    else:
+                        row[col] = row.get(col, 0) + sign
+        # Drop cancelled entries.  Then, until no row has one entry left,
+        # settle the column of each such row and remove the settled columns
+        # from the other rows.
+        rows = [{c: v for c, v in row.items() if v} for row in equations.values()]
+        forced: set[int] = set()
+        settled = {c for row in rows if len(row) == 1 for c in row}
+        while settled:
+            forced |= settled
+            rows = [row for row in (
+                {c: v for c, v in row.items() if c not in settled}
+                for row in rows if len(row) > 1
+            ) if row]
+            settled = {c for row in rows if len(row) == 1 for c in row}
+        kept = [c for c in range(len(members)) if c not in forced]
+        if not kept:
+            continue
+        dense = [[row.get(c, 0) for c in kept] for row in rows]
+        for vector in linalg.nullspace(dense, len(kept)):
+            poly = Polynomial({members[c][0]: v for c, v in zip(kept, vector)})
+            basis.append(poly.normalize_sign())
     basis.sort(key=lambda p: (p.degree(), str(p)))
     return basis
 

@@ -1,7 +1,9 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 and independent oracles (permutation-sum determinant, brute inversion
 count, Fraction Gauss-Jordan elimination, per-monomial bracket oracle,
-dense coadjoint conjugation) that never touch the code paths they check."""
+dense coadjoint conjugation, the plain formal matrix, the full Poisson
+bracket and reduction modulo the ideal) that never touch the code paths
+they check."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from regfactor import (
     InputError,
     Polynomial,
     RegularIdeal,
+    bracket_single,
     close_ideal,
     poisson_bracket_generator,
     positive_roots,
@@ -105,6 +108,47 @@ def grid(text: str) -> str:
 
 def y(i: int, j: int) -> Polynomial:
     return Polynomial.variable((i, j))
+
+
+def phi_matrix(ideal: RegularIdeal) -> list[list[Polynomial]]:
+    """The plain formal matrix (no diagonal subtraction) as nested lists."""
+    n = ideal.n
+    zero = Polynomial.zero()
+    return [
+        [
+            Polynomial.variable((i, j))
+            if i > j and (i, j) not in ideal
+            else zero
+            for j in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+
+
+def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Full Poisson bracket, extended from the basis as a biderivation."""
+    out = Polynomial.zero()
+    for a in p.variables():
+        dp = p.derivative(a)
+        if dp.is_zero:
+            continue
+        for b in q.variables():
+            hit = bracket_single(a, b)
+            if hit is None:
+                continue
+            sign, root = hit
+            out = out + dp * q.derivative(b) * Polynomial({((root, 1),): sign})
+    return out
+
+
+def reduce_mod_ideal(p: Polynomial, ideal: RegularIdeal) -> Polynomial:
+    """Drop every monomial containing a variable from the ideal."""
+    out = {
+        mono: coef
+        for mono, coef in p.terms.items()
+        if all(r not in ideal for r, _ in mono)
+    }
+    return Polynomial(out)
 
 
 def count_inversions_brute(images) -> int:

@@ -200,7 +200,8 @@ def test_json_documents_round_trip(problem, capsys):
 
 
 # sha256 of stdout for the n=7 reference (problems/n7_regular_ideal.json)
-# and the n=7 free factor.  test_byte_identical_reruns only compares two
+# and the n=7 free factor, at the default flags (oracle and verify at
+# --max-degree 4).  test_byte_identical_reruns only compares two
 # runs of the same code; these pins also catch a drift in how numbers print.
 GOLDEN_STDOUT = {
     ("reference", "invariants", "text"):
@@ -219,6 +220,14 @@ GOLDEN_STDOUT = {
         "a2775fadb9525d6843d9bdc11d7c3a88550df91944300136de6662474ce5b358",
     ("free", "verify", "json"):
         "546aff4bb751de027533a2a2f82730d49018a7b1c623d5edccf9af4e1fb5a539",
+    ("reference", "oracle", "text"):
+        "bdedb36dc3aaea70fa059983c97b9d02ed34574a966bb057fd5668b127e4a52e",
+    ("reference", "oracle", "json"):
+        "f07b92b3d42bfee2e0a99d4e11bf1f11ab52dcff111050c4cf3677d1f2636656",
+    ("free", "oracle", "text"):
+        "aa03f648e7814389813deaa5b7a2f94170467c773fc4196d50ba4ad0dc3aeb30",
+    ("free", "oracle", "json"):
+        "111c2564d9ee684da93ae7c9357229cb464e7260475d297bcbd90ace3dfa88ad",
 }
 
 

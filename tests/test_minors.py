@@ -17,7 +17,6 @@ from regfactor import (
     minor_degree,
     minor_lambda,
     minor_top,
-    phi_matrix,
     positive_roots,
     shift_spec,
 )
@@ -26,6 +25,7 @@ from helpers import (
     assert_unit_coefficients,
     n7_ideal,
     naive_minor,
+    phi_matrix,
     random_ideal,
     y,
 )
@@ -34,6 +34,7 @@ from helpers import (
 def test_phi_pattern_reference():
     ideal = n7_ideal()
     phi = phi_matrix(ideal)
+    matrix = characteristic_matrix(ideal)
     for i in range(1, 8):
         for j in range(1, 8):
             cell = phi[i - 1][j - 1]
@@ -41,6 +42,8 @@ def test_phi_pattern_reference():
                 assert cell.is_zero
             else:
                 assert cell == y(i, j)
+            if i != j:
+                assert matrix.entry(i, j) == LambdaPolynomial.of_poly(cell)
     # zeros precisely at the ideal inside the strict lower triangle
     zero_cells = {
         (i, j)
@@ -57,6 +60,13 @@ def test_phi_small_cases():
     assert phi[1][0] == y(2, 1)
     full = close_ideal(3, positive_roots(3))
     assert all(c.is_zero for row in phi_matrix(full) for c in row)
+    matrix = characteristic_matrix(full)
+    assert all(
+        matrix.entry(i, j) == LambdaPolynomial.zero()
+        for i in range(1, 4)
+        for j in range(1, 4)
+        if i != j
+    )
 
 
 def test_minor_reference_four_by_four():

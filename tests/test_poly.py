@@ -14,12 +14,17 @@ from regfactor import (
     close_ideal,
     jacobian_rank,
     parse_polynomial,
-    poisson_bracket,
     poisson_bracket_generator,
     positive_roots,
-    reduce_mod_ideal,
 )
-from helpers import assert_int_coefficients, n7_ideal, random_polynomial, y
+from helpers import (
+    assert_int_coefficients,
+    n7_ideal,
+    poisson_bracket,
+    random_polynomial,
+    reduce_mod_ideal,
+    y,
+)
 
 
 # --- hypothesis strategies over a fixed n=5 variable pool ------------------
@@ -204,6 +209,8 @@ def test_leibniz_rule(p, q, i):
     lhs = poisson_bracket(gen, p * q)
     rhs = poisson_bracket(gen, p) * q + p * poisson_bracket(gen, q)
     assert lhs == rhs
+    free = close_ideal(5, [])
+    assert poisson_bracket_generator(i, p * q, free) == lhs
 
 
 def test_generator_bracket_matches_general_bracket_mod_ideal():

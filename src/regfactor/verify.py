@@ -9,7 +9,6 @@ seed passes forever.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from math import comb
@@ -99,8 +98,7 @@ class GroupElement:
 
     def __post_init__(self):
         n = len(self.rows)
-        entries = itertools.chain.from_iterable(self.rows)
-        if not set(map(type, entries)) <= linalg.EXACT_TYPES:
+        if not {type(x) for row in self.rows for x in row} <= linalg.EXACT_TYPES:
             raise InputError("group element entries must be int or Fraction")
         for i, row in enumerate(self.rows):
             if len(row) != n:
@@ -371,16 +369,20 @@ def oracle_invariants(
     each component is solved independently.  Basis elements come back with
     integer coprime coefficients and positive leading term.
 
-    Nearly every coefficient is settled before any elimination.  An
-    equation with one nonzero term forces that monomial's coefficient to
-    zero in every kernel vector, so its column is removed from every
-    equation, and this repeats until no one-term equation is left; only
-    the remaining equations, on the remaining columns in their original
-    order, go to ``linalg.nullspace``.  The basis is unchanged by this.
-    The kernel is the same, with every forced coefficient zero, so a forced
-    column is a pivot column of the reduced row echelon form; each free
-    column then gets the same reduced echelon vector, and the same positive
-    coprime scaling, as from the full system.
+    Nearly every coefficient is settled before any elimination.  Monomials
+    are enumerated and grouped by weight as integer codes, and each
+    component's equations are sparse integer rows.  An equation with one
+    nonzero term forces that monomial's coefficient to zero in every kernel
+    vector, so its column leaves every equation it is in, which may leave
+    another equation with one term; a worklist settles these, touching each
+    entry once.  Only the kept columns become ``Monomial`` tuples, and only
+    the remaining equations, on the kept columns in the library's monomial
+    order (fewest distinct variables first, then by the tuples), go to
+    ``linalg.nullspace``.  The basis is unchanged by this.  The kernel is
+    the same, with every forced coefficient zero, so a forced column is a
+    pivot column of the reduced row echelon form; each free column then
+    gets the same reduced echelon vector, and the same positive coprime
+    scaling, as from the full system in that order.
     """
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
@@ -391,65 +393,95 @@ def oracle_invariants(
         raise BudgetError(
             f"oracle would scan {total} monomials, budget is {budget}"
         )
-    # While the equations are built, a monomial is coded as the sum of
-    # base**k over its variables' positions k, counted with multiplicity,
-    # with base = max_degree + 1.  Exponents stay below base, so the code
-    # is one-to-one, and moving one copy of variable k to variable r adds
-    # base**r - base**k.  moves[k] lists (i, s, that shift) for each
-    # generator (i+1,i) whose bracket with variable k is s*r, r outside the
-    # ideal.
-    power = [(max_degree + 1) ** k for k in range(len(variables))]
+    # Until the kept columns are known, a monomial is its combo (its
+    # variables' positions, nondecreasing, one per copy) and two integer
+    # codes.  The position code is the sum of base**k over the combo, with
+    # base = max_degree + 1; exponents stay below base, so the code is
+    # one-to-one, and moving one copy of variable k to variable r adds
+    # base**r - base**k.  The weight code is the sum of
+    # big**(i-1) - big**(j-1) over the variables (i,j), with
+    # big = 2 * max_degree + 1; every torus weight coordinate lies in
+    # [-max_degree, max_degree], so equal codes mean equal weights.  moves[k] lists (s, shift * n + i) for
+    # each generator (i+1,i) whose bracket with variable k is s*r, r outside
+    # the ideal, so the equation key (code + shift) * n + i is one add.
+    base = max_degree + 1
+    power = [base**k for k in range(len(variables))]
     position = {root: k for k, root in enumerate(variables)}
-    moves: list[list[tuple[int, int, int]]] = [[] for _ in variables]
+    moves: list[list[tuple[int, int]]] = [[] for _ in variables]
     for i in range(1, n):
         if (i + 1, i) in ideal:
             continue
         for k, root in enumerate(variables):
             hit = bracket_single((i + 1, i), root)
             if hit is not None and hit[1] not in ideal:
-                moves[k].append((i, hit[0], power[position[hit[1]]] - power[k]))
-    groups: dict[tuple[int, ...], list[tuple[Monomial, tuple[int, ...]]]] = {}
+                shift = power[position[hit[1]]] - power[k]
+                moves[k].append((hit[0], shift * n + i))
+    big = 2 * max_degree + 1
+    torus = [big ** (i - 1) - big ** (j - 1) for i, j in variables]
+    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    layer = [((k,), power[k], torus[k]) for k in range(len(variables))]
     for degree in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(range(len(variables)), degree):
-            mono = _monomial([variables[k] for k in combo])
-            groups.setdefault(_weight(mono, n), []).append((mono, combo))
+        for combo, code, weight in layer:
+            groups.setdefault(weight, []).append((combo, code))
+        if degree < max_degree:
+            layer = [
+                (combo + (k,), code + power[k], weight + torus[k])
+                for combo, code, weight in layer
+                for k in range(combo[-1], len(variables))
+            ]
 
     basis: list[Polynomial] = []
-    for weight in sorted(groups):
-        members = sorted(groups[weight], key=lambda mc: (len(mc[0]), mc[0]))
+    for members in groups.values():
         # One sparse row (column -> coefficient) per generator i and image
-        # code, keyed by code * n + i.  The bracket with b^e is
-        # s*e*(mono/b)*r: one term per copy of b.
+        # code.  The bracket with b^e is s*e*(mono/b)*r: one term per copy
+        # of b.
         equations: dict[int, dict[int, int]] = {}
-        for col, (_, combo) in enumerate(members):
-            code = sum(power[k] for k in combo)
+        for col, (combo, code) in enumerate(members):
+            start = code * n
             for k in combo:
-                for i, sign, shift in moves[k]:
-                    key = (code + shift) * n + i
-                    row = equations.get(key)
+                for sign, move in moves[k]:
+                    row = equations.get(start + move)
                     if row is None:
-                        equations[key] = {col: sign}
+                        equations[start + move] = {col: sign}
                     else:
                         row[col] = row.get(col, 0) + sign
-        # Drop cancelled entries.  Then, until no row has one entry left,
-        # settle the column of each such row and remove the settled columns
-        # from the other rows.
-        rows = [{c: v for c, v in row.items() if v} for row in equations.values()]
+        # No entry cancels: copies of one variable add with one sign, and
+        # two variables a != b of a monomial move to (mono/a)*r and
+        # (mono/b)*r', which differ because r and a differ in weight.  A row
+        # with one entry forces its column to zero in every kernel vector.
+        # A worklist of forced columns settles the rest: each column leaves
+        # the rows it is in, and a row left with one entry forces that
+        # column in turn.  Only rows with two or more entries are indexed,
+        # and each of their entries is deleted at most once.
         forced: set[int] = set()
-        settled = {c for row in rows if len(row) == 1 for c in row}
-        while settled:
-            forced |= settled
-            rows = [row for row in (
-                {c: v for c, v in row.items() if c not in settled}
-                for row in rows if len(row) > 1
-            ) if row]
-            settled = {c for row in rows if len(row) == 1 for c in row}
+        rows: list[dict[int, int]] = []
+        for row in equations.values():
+            if len(row) == 1:
+                forced.update(row)
+            else:
+                rows.append(row)
+        rows_of: dict[int, list[dict[int, int]]] = {}
+        for row in rows:
+            for c in row:
+                rows_of.setdefault(c, []).append(row)
+        pending = list(forced)
+        while pending:
+            c = pending.pop()
+            for row in rows_of.get(c, ()):
+                del row[c]
+                if len(row) == 1:
+                    (last,) = row
+                    if last not in forced:
+                        forced.add(last)
+                        pending.append(last)
         kept = [c for c in range(len(members)) if c not in forced]
         if not kept:
             continue
-        dense = [[row.get(c, 0) for c in kept] for row in rows]
+        monos = {c: _monomial([variables[k] for k in members[c][0]]) for c in kept}
+        kept.sort(key=lambda c: (len(monos[c]), monos[c]))
+        dense = [[row.get(c, 0) for c in kept] for row in rows if row]
         for vector in linalg.nullspace(dense, len(kept)):
-            poly = Polynomial({members[c][0]: v for c, v in zip(kept, vector)})
+            poly = Polynomial({monos[c]: v for c, v in zip(kept, vector)})
             basis.append(poly.normalize_sign())
     basis.sort(key=lambda p: (p.degree(), str(p)))
     return basis
@@ -464,14 +496,6 @@ def _monomial(roots: Sequence[Root]) -> Monomial:
         else:
             mono.append((root, 1))
     return tuple(mono)
-
-
-def _weight(mono: Monomial, n: int) -> tuple[int, ...]:
-    weight = [0] * n
-    for (i, j), e in mono:
-        weight[i - 1] += e
-        weight[j - 1] -= e
-    return tuple(weight)
 
 
 def _in_span_each(basis: Sequence[Polynomial], polys: Sequence[Polynomial]) -> list[bool]:

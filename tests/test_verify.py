@@ -241,19 +241,36 @@ def test_oracle_matches_reference_elimination():
             assert basis == reference_oracle(ideal, 3)
             for p in basis:
                 assert_int_coefficients(p)
-    # The one ideal with n <= 6 whose degree-4 kernel has a weight component
-    # of dimension above one, where the column order picks the basis.
-    ideal = close_ideal(6, [(4, 1), (6, 3)])
-    assert oracle_invariants(ideal, 4) == reference_oracle(ideal, 4)
+    # The ideals with n <= 7 whose degree-4 kernel has a weight component of
+    # dimension above one, where the column order picks the basis: one at
+    # n=6 and nine at n=7, found by a scan of every ideal.
+    for n, generators in (
+        (6, [(4, 1), (6, 3)]),
+        (7, [(2, 1), (5, 2), (7, 4)]),
+        (7, [(3, 1), (5, 2), (7, 4)]),
+        (7, [(4, 1), (6, 3), (7, 6)]),
+        (7, [(4, 1), (6, 3), (7, 5)]),
+        (7, [(4, 1), (6, 3)]),
+        (7, [(4, 1), (7, 4)]),
+        (7, [(4, 1), (7, 3)]),
+        (7, [(5, 2), (7, 4)]),
+        (7, [(5, 1), (7, 4)]),
+    ):
+        ideal = close_ideal(n, generators)
+        assert oracle_invariants(ideal, 4) == reference_oracle(ideal, 4), generators
 
 
 def test_oracle_reference_basis_pinned():
-    # sha256 of the 49 basis strings, one per line, for the n=7 reference
-    # at degree 4
-    basis = oracle_invariants(n7_ideal(), 4)
-    assert len(basis) == 49
-    digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
-    assert digest == "cc43a79920286631a81909c4b6bc40fb59af5d4c8937fd504ddd386aac1e4ebb"
+    # sha256 of the basis strings, one per line, for the n=7 reference at
+    # degrees 4 and 5
+    for degree, size, expected in (
+        (4, 49, "cc43a79920286631a81909c4b6bc40fb59af5d4c8937fd504ddd386aac1e4ebb"),
+        (5, 90, "e21d5fb97bf68c04e91b6fc8f4b46fc18e68d7c481a7f08acc1a617ab00b8af4"),
+    ):
+        basis = oracle_invariants(n7_ideal(), degree)
+        assert len(basis) == size
+        digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
+        assert digest == expected, degree
 
 
 def test_oracle_members_are_invariant():

@@ -8,7 +8,6 @@ from .diagram import (
     Symbol,
     build_diagram,
     crosscheck_symbols,
-    symbol_from_reflections,
 )
 from .errors import BudgetError, ConstructionError, InputError, RegFactorError
 from .invariants import (
@@ -33,17 +32,14 @@ from .poly import (
     Polynomial,
     bracket_single,
     jacobian_rank,
-    parse_polynomial,
     poisson_bracket_generator,
 )
 from .roots import (
     RegularIdeal,
     Root,
     close_ideal,
-    compare_prec,
     positive_roots,
     prec_key,
-    root_sum,
 )
 from .verify import (
     CheckResult,
@@ -54,7 +50,6 @@ from .verify import (
     check_invariance,
     coadjoint_act,
     full_report,
-    invariant_in_span,
     oracle_invariants,
     skew_rank_stats,
 )
@@ -64,11 +59,8 @@ from .weyl import (
     SegmentData,
     column_max_permutation,
     cross_data,
-    descent_chain,
     inversions,
     reflection_product,
-    reflections_in_column,
-    reflections_up_to,
     segment_data,
 )
 
@@ -76,19 +68,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Diagram", "DiagramCounts", "Symbol", "build_diagram", "crosscheck_symbols",
-    "symbol_from_reflections",
     "BudgetError", "ConstructionError", "InputError", "RegFactorError",
     "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
     "CharMatrix", "MinorSpec", "characteristic_matrix", "enumerate_extremal",
     "is_extremal", "minor_degree", "minor_lambda", "minor_top", "shift_spec",
     "LambdaPolynomial", "Polynomial", "bracket_single", "jacobian_rank",
-    "parse_polynomial", "poisson_bracket_generator",
-    "RegularIdeal", "Root", "close_ideal", "compare_prec", "positive_roots", "prec_key",
-    "root_sum",
+    "poisson_bracket_generator",
+    "RegularIdeal", "Root", "close_ideal", "positive_roots", "prec_key",
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",
-    "check_invariance", "coadjoint_act", "full_report", "invariant_in_span",
-    "oracle_invariants", "skew_rank_stats",
+    "check_invariance", "coadjoint_act", "full_report", "oracle_invariants",
+    "skew_rank_stats",
     "CrossData", "Permutation", "SegmentData", "column_max_permutation", "cross_data",
-    "descent_chain", "inversions", "reflection_product", "reflections_in_column",
-    "reflections_up_to", "segment_data",
+    "inversions", "reflection_product", "segment_data",
 ]

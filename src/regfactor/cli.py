@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from .diagram import build_diagram
-from .errors import BudgetError, ConstructionError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError
 from .invariants import all_invariants
 from .minors import characteristic_matrix, enumerate_extremal, minor_degree
 from .roots import RegularIdeal, close_ideal
@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-DEFAULT_BUDGET = 100000
 
 
 def load_problem(path: str, strict: bool = False) -> RegularIdeal:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import ConstructionError
-from .roots import RegularIdeal, Root, check_root, positive_roots
-from .weyl import reflections_up_to
+from .roots import RegularIdeal, Root, positive_roots
+from .weyl import reflection_product
 
 
 class Symbol(enum.Enum):
@@ -47,9 +47,6 @@ class Diagram:
 
     def symbol(self, root: Root) -> Symbol:
         return self.cells[tuple(root)][0]
-
-    def step(self, root: Root) -> int:
-        return self.cells[tuple(root)][1]
 
     @property
     def step_count(self) -> int:
@@ -120,52 +117,37 @@ def build_diagram(ideal: RegularIdeal) -> Diagram:
     return Diagram(ideal.n, cells, tuple(crosses))
 
 
-def _symbol_by_sign(eta: Root, before: bool, after: bool, is_cross: bool) -> Symbol:
-    """The reflection rule for cell ``eta``, given whether the products over
-    the crosses of columns up to t-1 (``before``) and up to t (``after``)
-    keep it positive."""
-    if before and after:
-        return Symbol.BULLET
-    if not before and not after:
-        return Symbol.MINUS
-    if before:
-        return Symbol.CROSS if is_cross else Symbol.PLUS
-    raise ConstructionError(
-        f"cell {eta} flips from negative back to positive across column {eta[1]}"
-    )
-
-
-def symbol_from_reflections(
-    ideal: RegularIdeal, eta: Root, crosses: Optional[Sequence[Root]] = None
-) -> Symbol:
-    """Re-derive the symbol of cell ``eta`` = (b,t) from reflection products.
-
-    With products over the crosses of columns up to t-1 and up to t: the
-    cell is a minus iff the shorter product sends eta to a negative root,
-    a bullet iff the longer product keeps it positive, and a plus or cross
-    (decided by cross membership) iff the shorter keeps it positive while
-    the longer negates it.
-    """
-    b, t = check_root(ideal.n, eta)
-    if crosses is None:
-        crosses = build_diagram(ideal).crosses
-    before = reflections_up_to(ideal.n, crosses, t - 1).sends_positive(eta)
-    after = reflections_up_to(ideal.n, crosses, t).sends_positive(eta)
-    return _symbol_by_sign(eta, before, after, (b, t) in set(map(tuple, crosses)))
-
-
 def crosscheck_symbols(ideal: RegularIdeal, diagram: Optional[Diagram] = None) -> None:
-    """Verify the reflection rule against the built diagram on every cell;
-    raises ConstructionError on the first disagreement."""
+    """Re-derive every cell's symbol from reflection products and check it
+    against the built diagram; raises ConstructionError on the first
+    disagreement.
+
+    For a cell eta = (b,t), take the products over the crosses of columns up
+    to t-1 and up to t: the cell is a minus iff the shorter product sends
+    eta to a negative root, a bullet iff the longer product keeps it
+    positive, and a plus or cross (decided by cross membership) iff the
+    shorter keeps it positive while the longer negates it.
+    """
     if diagram is None:
         diagram = build_diagram(ideal)
     n = ideal.n
     cross_set = set(diagram.crosses)
-    products = [reflections_up_to(n, diagram.crosses, t) for t in range(n)]
+    products = [
+        reflection_product(n, [r for r in diagram.crosses if r[1] <= t]) for t in range(n)
+    ]
     for eta in positive_roots(n):
         before = products[eta[1] - 1].sends_positive(eta)
         after = products[eta[1]].sends_positive(eta)
-        derived = _symbol_by_sign(eta, before, after, eta in cross_set)
+        if before and after:
+            derived = Symbol.BULLET
+        elif not before and not after:
+            derived = Symbol.MINUS
+        elif before:
+            derived = Symbol.CROSS if eta in cross_set else Symbol.PLUS
+        else:
+            raise ConstructionError(
+                f"cell {eta} flips from negative back to positive across column {eta[1]}"
+            )
         if derived is not diagram.symbol(eta):
             raise ConstructionError(
                 f"cell {eta}: reflection rule gives {derived.value}, "

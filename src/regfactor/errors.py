@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default work budget."""
 
 from __future__ import annotations
+
+# The budget of every budgeted call (oracle monomials, extremal-scan specs)
+# and of the CLI's --budget flag.
+DEFAULT_BUDGET = 100000
 
 
 class RegFactorError(Exception):

@@ -102,9 +102,16 @@ def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
     return basis
 
 
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Whether ``target`` is a rational linear combination of ``vectors``:
-    that is, whether it is orthogonal to every vector of their kernel."""
-    (t,) = _integer_rows([target], len(target))
-    kernel = nullspace(vectors, len(target))
-    return not any(sum(a * b for a, b in zip(k, t)) for k in kernel)
+def in_span(vectors: Sequence[Sequence], targets: Sequence[Sequence]) -> list[bool]:
+    """Whether each of ``targets`` is a rational linear combination of
+    ``vectors``: that is, whether it is orthogonal to every vector of their
+    kernel, so one elimination serves every target."""
+    if not targets:
+        return []
+    n_cols = len(targets[0])
+    kernel = nullspace(vectors, n_cols)
+    answers = []
+    for t in _integer_rows(targets, n_cols):
+        entries = [(j, x) for j, x in enumerate(t) if x]
+        answers.append(not any(sum(k[j] * x for j, x in entries) for k in kernel))
+    return answers

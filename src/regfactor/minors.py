@@ -22,11 +22,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import BudgetError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .poly import LambdaPolynomial, Polynomial
 from .roots import RegularIdeal, Root, prec_key
-
-DEFAULT_SCAN_BUDGET = 20000
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,6 @@ class MinorSpec:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def to_json(self) -> dict:
-        return {"rows": list(self.rows), "cols": list(self.cols)}
 
 
 @dataclass(frozen=True)
@@ -242,16 +237,19 @@ def is_extremal(matrix: CharMatrix, spec: MinorSpec, degree: Optional[int] = Non
 def enumerate_extremal(
     ideal: RegularIdeal,
     max_size: Optional[int] = None,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[MinorSpec]:
     """All extremal minors with a nonconstant highest coefficient, up to the
     given size, in canonical (size, rows, cols) order.
 
     Minors of full diagonal degree are skipped: their highest coefficient
-    is a scalar and carries no invariant.  Raises BudgetError (partial
-    results attached, flagged invalid) when the scan would examine more
-    candidate specs than ``budget``.
+    is a scalar and carries no invariant.  Raises InputError when
+    ``max_size`` is below 1, and BudgetError (partial results attached,
+    flagged invalid) when the scan would examine more candidate specs than
+    ``budget``.
     """
+    if max_size is not None and max_size < 1:
+        raise InputError("max_size must be at least 1")
     n = ideal.n
     matrix = characteristic_matrix(ideal)
     max_size = n if max_size is None else min(max_size, n)

@@ -1,7 +1,7 @@
 """Exact sparse polynomials in root variables.
 
 Coefficients and point values are ``int``, or ``Fraction`` where input brings
-one (a parsed ``p/q`` term, say); any other type raises InputError.
+one; any other type raises InputError.
 A monomial is a tuple of (root, exponent) pairs with the roots in
 decreasing column order.  Polynomials print and iterate in a canonical
 order: higher total degree first, ties broken lexicographically on the
@@ -14,7 +14,6 @@ exact Jacobian rank used for independence checks.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -247,62 +246,6 @@ class Polynomial:
                 value = value * x ** e
             total += value
         return total
-
-
-_TERM_RE = re.compile(
-    r"""
-    (?P<coef>-?\d+(?:/\d+)?)?          # optional integer or p/q coefficient
-    (?P<vars>(?:\*?y\[\d+,\d+\](?:\^\d+)?)*)
-    $""",
-    re.VERBOSE,
-)
-_VAR_RE = re.compile(r"y\[(\d+),(\d+)\](?:\^(\d+))?")
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse the canonical string form back into a polynomial."""
-    src = text.strip()
-    if not src:
-        raise InputError("empty polynomial string")
-    if src == "0":
-        return Polynomial.zero()
-    # Split into signed terms on top-level + and - separators.
-    pieces: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    idx = 0
-    # Leading sign.
-    if src[0] in "+-":
-        sign = -1 if src[0] == "-" else 1
-        idx = 1
-    current_sign = sign
-    while idx < len(src):
-        ch = src[idx]
-        if ch in "+-" and buf.strip():
-            pieces.append((current_sign, buf.strip()))
-            current_sign = -1 if ch == "-" else 1
-            buf = ""
-        else:
-            buf += ch
-        idx += 1
-    if buf.strip():
-        pieces.append((current_sign, buf.strip()))
-    result = Polynomial.zero()
-    for sgn, piece in pieces:
-        piece = piece.replace(" ", "")
-        match = _TERM_RE.fullmatch(piece)
-        if not match or (not match.group("coef") and not match.group("vars")):
-            raise InputError(f"cannot parse polynomial term {piece!r}")
-        coef = match.group("coef") or "1"
-        coef = Fraction(coef) if "/" in coef else int(coef)
-        mono: Monomial = _ONE
-        for var in _VAR_RE.finditer(match.group("vars") or ""):
-            i, j, e = int(var.group(1)), int(var.group(2)), int(var.group(3) or 1)
-            if e < 1:
-                raise InputError(f"bad exponent in {piece!r}")
-            mono = _mono_mul(mono, (((i, j), e),))
-        result = result + Polynomial({mono: sgn * coef})
-    return result
 
 
 class LambdaPolynomial:

@@ -42,29 +42,9 @@ def prec_key(root: Root) -> tuple[int, int]:
     return (j, -i)
 
 
-def compare_prec(a: Root, b: Root) -> int:
-    """Return 1 if ``a`` is greater than ``b`` in the column order, -1 if
-    smaller, 0 if equal."""
-    ka, kb = prec_key(a), prec_key(b)
-    if ka < kb:
-        return 1
-    if ka > kb:
-        return -1
-    return 0
-
-
 def positive_roots(n: int) -> list[Root]:
     """All positive roots for size ``n`` in decreasing order."""
     return [(i, j) for j in range(1, n) for i in range(n, j, -1)]
-
-
-def root_sum(a: Root, b: Root) -> Optional[Root]:
-    """Partial addition: (i,j) + (j,m) = (i,m); None when indices do not chain."""
-    if a[1] == b[0]:
-        return (a[0], b[1])
-    if b[1] == a[0]:
-        return (b[0], a[1])
-    return None
 
 
 @dataclass(frozen=True)
@@ -110,12 +90,6 @@ class RegularIdeal:
     @functools.cached_property
     def _free_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in positive_roots(self.n) if r not in self.roots)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ideal_generators": [list(r) for r in sorted(self.roots)],
-        }
 
 
 def _closure_deficit(n: int, roots) -> Optional[tuple[Root, Root]]:

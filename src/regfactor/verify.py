@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .diagram import build_diagram, crosscheck_symbols
-from .errors import BudgetError, ConstructionError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError
 from .invariants import InvariantRecord, all_invariants, triangular_decomposition
 from .poly import (
     Monomial,
@@ -29,8 +29,9 @@ from .poly import (
 from .roots import RegularIdeal, Root
 from .weyl import column_max_permutation, inversions, reflection_product
 
-DEFAULT_ORACLE_BUDGET = 100000
 _ENTRY_RANGE = (-9, 9)
+# Sampled points of the skew_rank check, besides the distinct-prime point.
+_RANK_TRIALS = 20
 
 
 def _primes(count: int) -> list[int]:
@@ -60,10 +61,6 @@ class DualPoint:
             raise InputError("point must assign exactly the roots outside the ideal")
         if not set(map(type, self.coords.values())) <= linalg.EXACT_TYPES:
             raise InputError("point coordinates must be int or Fraction")
-
-    @classmethod
-    def from_values(cls, ideal: RegularIdeal, values) -> "DualPoint":
-        return cls(ideal, {tuple(r): v for r, v in dict(values).items()})
 
     @classmethod
     def random(cls, ideal: RegularIdeal, rng: random.Random) -> "DualPoint":
@@ -107,10 +104,6 @@ class GroupElement:
                 raise InputError("group element must be lower unitriangular")
 
     @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
     def random(cls, n: int, rng: random.Random) -> "GroupElement":
         lo, hi = _ENTRY_RANGE
         return cls(
@@ -126,29 +119,6 @@ class GroupElement:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        n = self.n
-        if other.n != n:
-            raise InputError(f"size mismatch: group elements are {n} and {other.n}")
-        a, b = self.rows, other.rows
-        product = tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(j, i + 1)) for j in range(n))
-            for i in range(n)
-        )
-        return GroupElement(product)
-
-    def inverse(self) -> "GroupElement":
-        # Forward substitution; stays over the integers for integer input.
-        n = self.n
-        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for k in range(i):
-                factor = self.rows[i][k]
-                if factor:
-                    for j in range(k + 1):
-                        inv[i][j] -= factor * inv[k][j]
-        return GroupElement(tuple(tuple(row) for row in inv))
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.rows]
@@ -318,7 +288,7 @@ class SkewStats(NamedTuple):
 
 
 def skew_rank_stats(
-    ideal: RegularIdeal, trials: int = 20, seed: int = 0
+    ideal: RegularIdeal, trials: int = _RANK_TRIALS, seed: int = 0
 ) -> SkewStats:
     """Maximal rank of the bracket form over sampled points, and its corank.
 
@@ -359,7 +329,7 @@ def skew_rank_stats(
 def oracle_invariants(
     ideal: RegularIdeal,
     max_degree: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[Polynomial]:
     """Brute-force basis of all polynomial invariants up to ``max_degree``.
 
@@ -498,41 +468,19 @@ def _monomial(roots: Sequence[Root]) -> Monomial:
     return tuple(mono)
 
 
-def _in_span_each(basis: Sequence[Polynomial], polys: Sequence[Polynomial]) -> list[bool]:
-    """Exact membership of each of ``polys`` in the rational span of
-    ``basis``.  A vector lies in the row span of a matrix exactly when it is
-    orthogonal to the matrix's kernel, so one elimination serves them all."""
-    index: dict[Monomial, int] = {}
-    for p in (*basis, *polys):
-        for m in p.terms:
-            index.setdefault(m, len(index))
-    rows = []
-    for p in basis:
-        row = [0] * len(index)
-        for m, c in p.terms.items():
-            row[index[m]] = c
-        rows.append(row)
-    kernel = linalg.nullspace(rows, len(index))
-    return [
-        not any(sum(k[index[m]] * c for m, c in p.terms.items()) for k in kernel)
-        for p in polys
-    ]
-
-
-def invariant_in_span(basis: Sequence[Polynomial], poly: Polynomial) -> bool:
-    """Exact membership of ``poly`` in the rational span of ``basis``."""
-    return _in_span_each(basis, [poly])[0]
-
-
 def full_report(
     ideal: RegularIdeal,
     trials: int = 100,
     seed: int = 0,
-    rank_trials: int = 20,
     max_degree: int = 4,
-    oracle_budget: int = DEFAULT_ORACLE_BUDGET,
+    oracle_budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Run every checkable identity for one regular factor."""
+    """Run every checkable identity for one regular factor.
+
+    Raises InputError, before any check runs, when ``max_degree`` is below 1.
+    """
+    if max_degree < 1:
+        raise InputError("max_degree must be at least 1")
     report = VerificationReport()
     diagram = build_diagram(ideal)
     counts = diagram.counts()
@@ -614,7 +562,7 @@ def full_report(
         )
 
     def check_skew():
-        stats = skew_rank_stats(ideal, trials=rank_trials, seed=seed)
+        stats = skew_rank_stats(ideal, trials=_RANK_TRIALS, seed=seed)
         if stats.max_rank != counts.plus_minus:
             raise ConstructionError(
                 f"max skew rank {stats.max_rank} differs from the "
@@ -627,7 +575,7 @@ def full_report(
             )
         return f"max_rank={stats.max_rank} corank={stats.corank}"
 
-    run("skew_rank", check_skew, trials=rank_trials, seed=seed)
+    run("skew_rank", check_skew, trials=_RANK_TRIALS, seed=seed)
 
     def check_jacobian():
         point = DualPoint.prime_point(ideal)
@@ -665,7 +613,16 @@ def full_report(
             if not low:
                 return "no low-degree invariants"
             basis = oracle_invariants(ideal, max_degree, budget=oracle_budget)
-            inside = _in_span_each(basis, [r.invariant for r in low])
+            polys = basis + [r.invariant for r in low]
+            index: dict[Monomial, int] = {}
+            for p in polys:
+                for m in p.terms:
+                    index.setdefault(m, len(index))
+            rows = [[0] * len(index) for _ in polys]
+            for row, p in zip(rows, polys):
+                for m, c in p.terms.items():
+                    row[index[m]] = c
+            inside = linalg.in_span(rows[: len(basis)], rows[len(basis):])
             for record, ok in zip(low, inside):
                 if not ok:
                     raise ConstructionError(

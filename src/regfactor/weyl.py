@@ -27,33 +27,8 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {self.images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def transposition(cls, n: int, root: Root) -> "Permutation":
-        i, j = check_root(n, root)
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-        return cls(tuple(images))
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (a * b)(x) = a(b(x)), i.e. b acts first."""
-        return Permutation(tuple(self.images[y - 1] for y in other.images))
-
-    def inverse(self) -> "Permutation":
-        images = [0] * self.n
-        for x, y in enumerate(self.images, start=1):
-            images[y - 1] = x
-        return Permutation(tuple(images))
 
     def on_root(self, root: Root) -> tuple[int, int]:
         """Image of a root pair: w(i,j) = (w(i), w(j))."""
@@ -119,16 +94,6 @@ def column_max_permutation(ideal: RegularIdeal) -> Permutation:
     return Permutation(tuple(images))
 
 
-def reflections_in_column(n: int, crosses: Sequence[Root], t: int) -> Permutation:
-    """Product over the column-t crosses only."""
-    return reflection_product(n, [r for r in crosses if r[1] == t])
-
-
-def reflections_up_to(n: int, crosses: Sequence[Root], t: int) -> Permutation:
-    """Product over all crosses in columns 1..t."""
-    return reflection_product(n, [r for r in crosses if r[1] <= t])
-
-
 @dataclass(frozen=True)
 class CrossData:
     """What one cross xi = (k,t) determines: the reflection product ``w``
@@ -188,7 +153,9 @@ def cross_data(n: int, crosses: Sequence[Root]) -> tuple[CrossData, ...]:
 def _column_products(n: int, crosses: Sequence[Root]):
     """The product over each column's crosses, built on first use and then
     shared by every chain that passes the column."""
-    return functools.cache(lambda t: reflections_in_column(n, crosses, t))
+    return functools.cache(
+        lambda t: reflection_product(n, [r for r in crosses if r[1] == t])
+    )
 
 
 def _through(n: int, crosses: Sequence[Root], xi: Root) -> Permutation:
@@ -235,20 +202,6 @@ def _chain(data: CrossData, i: int, through: Permutation, column) -> list[int]:
     return chain
 
 
-def descent_chain(
-    n: int, crosses: Sequence[Root], data: CrossData, i: int
-) -> list[int]:
-    """Descending chain from row i down to the window [c, h) of the cross
-    ``data`` describes.
-
-    Only defined for a case-2 cross; raises InputError for case-1 crosses
-    and for rows that admit no descent.
-    """
-    if data.case != 2:
-        raise InputError(f"chains are defined only for case-2 crosses, {data.xi} is case 1")
-    return _chain(data, i, _through(n, crosses, data.xi), _column_products(n, crosses))
-
-
 @dataclass(frozen=True)
 class SegmentData:
     """Chain bookkeeping for a case-2 cross.
@@ -273,22 +226,6 @@ class SegmentData:
     unchained_segments: tuple[tuple[int, ...], ...]
     nu: int
     d_star: int
-
-    def to_json(self) -> dict:
-        return {
-            "xi": list(self.xi),
-            "h": self.h,
-            "c": self.c,
-            "col_end": self.col_end,
-            "i_star": list(self.i_star),
-            "chains": [list(c) for c in self.chains],
-            "chained": list(self.chained),
-            "unchained": list(self.unchained),
-            "chained_segments": [list(s) for s in self.chained_segments],
-            "unchained_segments": [list(s) for s in self.unchained_segments],
-            "nu": self.nu,
-            "d_star": self.d_star,
-        }
 
 
 def _runs(values: list[int]) -> list[tuple[int, ...]]:

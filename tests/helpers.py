@@ -1,9 +1,11 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
-and independent oracles (permutation-sum determinant, brute inversion
-count, Fraction Gauss-Jordan elimination, per-monomial bracket oracle,
-dense coadjoint conjugation, the plain formal matrix, the full Poisson
-bracket and reduction modulo the ideal) that never touch the code paths
-they check."""
+small tools the library does not need (root sums, group-element products
+and inverses, problem documents, span membership of polynomials), and
+independent oracles (permutation-sum determinant, brute inversion count,
+Fraction Gauss-Jordan elimination, per-monomial bracket oracle, dense
+coadjoint conjugation, the plain formal matrix, the full Poisson bracket
+and reduction modulo the ideal) that never touch the code paths they
+check."""
 
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from regfactor import (
     DualPoint,
     GroupElement,
     InputError,
+    Permutation,
     Polynomial,
     RegularIdeal,
     bracket_single,
@@ -24,6 +27,7 @@ from regfactor import (
     poisson_bracket_generator,
     positive_roots,
 )
+from regfactor.linalg import in_span
 
 # The n=7 instance with ideal generated by (5,1) and (7,2); its closure,
 # diagram, steps, crosses, and permutation are pinned from hand expansion.
@@ -108,6 +112,57 @@ def grid(text: str) -> str:
 
 def y(i: int, j: int) -> Polynomial:
     return Polynomial.variable((i, j))
+
+
+def root_sum(a, b):
+    """Partial addition: (i,j) + (j,m) = (i,m); None when indices do not chain."""
+    if a[1] == b[0]:
+        return (a[0], b[1])
+    if b[1] == a[0]:
+        return (b[0], a[1])
+    return None
+
+
+def ideal_doc(ideal: RegularIdeal) -> dict:
+    """The problem-file form of an ideal: every root listed as a generator."""
+    return {"n": ideal.n, "ideal_generators": [list(r) for r in sorted(ideal.roots)]}
+
+
+def identity_permutation(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def group_identity(n: int) -> GroupElement:
+    return GroupElement(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def group_product(a: GroupElement, b: GroupElement) -> GroupElement:
+    n = a.n
+    return GroupElement(tuple(
+        tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(j, i + 1)) for j in range(n))
+        for i in range(n)
+    ))
+
+
+def group_inverse(g: GroupElement) -> GroupElement:
+    """Forward substitution; stays over the integers for integer input."""
+    n = g.n
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(i):
+            if g.rows[i][k]:
+                for j in range(k + 1):
+                    inv[i][j] -= g.rows[i][k] * inv[k][j]
+    return GroupElement(tuple(map(tuple, inv)))
+
+
+def in_poly_span(basis, polys) -> list[bool]:
+    """Membership of each of ``polys`` in the rational span of ``basis``:
+    ``linalg.in_span`` on coefficient rows over one monomial list."""
+    everything = [*basis, *polys]
+    monos = list(dict.fromkeys(m for p in everything for m in p.terms))
+    rows = [[p.terms.get(m, 0) for m in monos] for p in everything]
+    return in_span(rows[: len(basis)], rows[len(basis):])
 
 
 def phi_matrix(ideal: RegularIdeal) -> list[list[Polynomial]]:
@@ -366,7 +421,7 @@ def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     if g.n != n:
         raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
     b = point.matrix()
-    ginv = g.inverse().rows
+    ginv = group_inverse(g).rows
     left = [
         [sum(g.rows[i][k] * b[k][j] for k in range(i + 1)) for j in range(n)]
         for i in range(n)

@@ -117,6 +117,15 @@ def test_oracle_budget_exit(problem, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_size_flags_below_one_rejected(problem, value, capsys):
+    for argv in (["verify", "--max-degree", value], ["oracle", "--max-degree", value],
+                 ["extremal-scan", "--max-size", value]):
+        code, out, err = run(capsys, argv[0], problem, *argv[1:])
+        assert (code, out) == (2, "")
+        assert "must be at least 1" in err
+
+
 def test_verify_failure_exit(monkeypatch, small_problem, capsys):
     from regfactor.verify import CheckResult, VerificationReport
     import regfactor.cli as cli
@@ -199,9 +208,9 @@ def test_json_documents_round_trip(problem, capsys):
         assert json.loads(json.dumps(doc)) == doc
 
 
-# sha256 of stdout for the n=7 reference (problems/n7_regular_ideal.json)
-# and the n=7 free factor, at the default flags (oracle and verify at
-# --max-degree 4).  test_byte_identical_reruns only compares two
+# sha256 of stdout of every subcommand for the n=7 reference
+# (problems/n7_regular_ideal.json) and the n=7 free factor, at the default
+# flags (oracle and verify at --max-degree 4).  test_byte_identical_reruns only compares two
 # runs of the same code; these pins also catch a drift in how numbers print.
 GOLDEN_STDOUT = {
     ("reference", "invariants", "text"):
@@ -228,6 +237,38 @@ GOLDEN_STDOUT = {
         "aa03f648e7814389813deaa5b7a2f94170467c773fc4196d50ba4ad0dc3aeb30",
     ("free", "oracle", "json"):
         "111c2564d9ee684da93ae7c9357229cb464e7260475d297bcbd90ace3dfa88ad",
+    ("reference", "diagram", "text"):
+        "692955e4b5318ba3af9a96bccb705f97aa52d0ecd71ac04aa879111d298d90de",
+    ("reference", "diagram", "json"):
+        "44abc21e590d8e06acda201351e9437de67f8cad2e32b6241e64a07f705c15ee",
+    ("reference", "permutation", "text"):
+        "c4caad59ce6de71e749763a80d02f449e2876f0ef31e1b304970b69ce279f145",
+    ("reference", "permutation", "json"):
+        "ae3d8edca4cf3e10711a9b3936d09e71f95f2f05757cc33e090c9816bb70ec4d",
+    ("reference", "extremal-scan", "text"):
+        "5181374089100f4133a955d6cf497fd1611e30ac50d1d79cb97670b777c37522",
+    ("reference", "extremal-scan", "json"):
+        "5aa7dadf9d2d9abd9e3bfd52d14c590e2add67c0865f3deab3c1f58e0e504435",
+    ("reference", "orbit-stats", "text"):
+        "47e072037661974192ab71ce140d5b984e7b3b832fce2420ab97462015f4d798",
+    ("reference", "orbit-stats", "json"):
+        "375d3435e714272d6f0e9253b57ef6d6ea42f4b299ca774c74a13bf4bd195288",
+    ("free", "diagram", "text"):
+        "2db5776a3a411b701478c5628877f05495d1e23f5a0e71b526f5edccefb93c78",
+    ("free", "diagram", "json"):
+        "77cbb176646e56048668e66030839375f28b01c94f375ebbb382687ef3f41330",
+    ("free", "permutation", "text"):
+        "bd29dc7c8deacc9d70c410c335dde43891cae1aba5ca0e4d3a6d5c5a08a1107d",
+    ("free", "permutation", "json"):
+        "57d9885c96a24f2adec45b115dfccc1595b437a806a62de054bca89f0c3cc317",
+    ("free", "extremal-scan", "text"):
+        "48a53df9db89dbc2e70bfe2ab28fbc31b7906373927d41bce0dcd50ba4adb722",
+    ("free", "extremal-scan", "json"):
+        "50f8c522df32889327497cf1a2b6d4eddbc0626c48314ae969e490dc2e2cf75d",
+    ("free", "orbit-stats", "text"):
+        "0c086ecd061470037bdfbbce44425dddf2043847d554cea044c852b8dcb594da",
+    ("free", "orbit-stats", "json"):
+        "9c7837b74088c58ebade4ebf80a195fd0c232fe9c3a7e743e576237f7b6cbfd6",
 }
 
 

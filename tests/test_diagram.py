@@ -1,14 +1,19 @@
 """Diagram construction, the reflection re-derivation of symbols, and the
 count identities."""
 
+import dataclasses
+import re
+
+import pytest
+
 from regfactor import (
+    ConstructionError,
     Symbol,
     build_diagram,
     close_ideal,
     crosscheck_symbols,
     positive_roots,
     prec_key,
-    symbol_from_reflections,
 )
 from helpers import (
     N7_CROSSES,
@@ -51,12 +56,20 @@ def test_small_examples():
     assert d2.counts() == (0, 0, 1)
 
 
-def test_symbol_from_reflections_examples():
+def test_symbol_rule_examples():
+    # a diagram that disagrees with the reflection rule at one cell is
+    # caught there, and the message names the symbol the rule derives
     ideal = n7_ideal()
-    assert symbol_from_reflections(ideal, (4, 2)) is Symbol.MINUS
-    assert symbol_from_reflections(ideal, (7, 2)) is Symbol.BULLET
-    assert symbol_from_reflections(ideal, (6, 4)) is Symbol.PLUS
-    assert symbol_from_reflections(ideal, (7, 4)) is Symbol.CROSS
+    diagram = build_diagram(ideal)
+    crosscheck_symbols(ideal, diagram)
+    derived = {(4, 2): Symbol.MINUS, (7, 2): Symbol.BULLET, (6, 4): Symbol.PLUS,
+               (7, 4): Symbol.CROSS}
+    for eta, symbol in derived.items():
+        wrong = Symbol.PLUS if symbol is Symbol.MINUS else Symbol.MINUS
+        bad = dataclasses.replace(diagram, cells={**diagram.cells, eta: (wrong, 1)})
+        message = f"cell {eta}: reflection rule gives {symbol.value}, diagram has {wrong.value}"
+        with pytest.raises(ConstructionError, match=re.escape(message)):
+            crosscheck_symbols(ideal, bad)
 
 
 def test_symbol_rule_agrees_everywhere():

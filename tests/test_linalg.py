@@ -28,10 +28,10 @@ def test_empty_and_zero_column_input():
     assert nullspace([[], []], 0) == []
     # zero rows: the kernel is the whole space
     assert nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert in_span([], [])
-    assert in_span([[], []], [])
-    assert in_span([], [0, 0])
-    assert not in_span([], [1, 0])
+    assert in_span([], [[]]) == [True]
+    assert in_span([[], []], [[]]) == [True]
+    assert in_span([], [[0, 0], [1, 0]]) == [True, False]
+    assert in_span([[1, 2]], []) == []
 
 
 def test_nullspace_examples():
@@ -45,13 +45,11 @@ def test_nullspace_examples():
 
 
 def test_in_span_examples():
-    assert in_span([[1, 2], [2, 4]], [3, 6])
-    assert not in_span([[1, 2], [2, 4]], [1, 0])
-    assert in_span([[1, 0, 1], [0, 1, 1]], [2, -3, -1])
-    assert in_span([[Fraction(1, 2), 1]], [1, 2])
-    assert in_span([[1, 2]], [Fraction(1, 3), Fraction(2, 3)])
-    assert not in_span([[1, 2]], [Fraction(1, 3), Fraction(1, 3)])
-    assert in_span([[1, 2]], [0, 0])
+    assert in_span([[1, 2], [2, 4]], [[3, 6], [1, 0]]) == [True, False]
+    assert in_span([[1, 0, 1], [0, 1, 1]], [[2, -3, -1]]) == [True]
+    assert in_span([[Fraction(1, 2), 1]], [[1, 2]]) == [True]
+    targets = [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 3), Fraction(1, 3)], [0, 0]]
+    assert in_span([[1, 2]], targets) == [True, False, True]
 
 
 @pytest.mark.parametrize(
@@ -61,15 +59,15 @@ def test_in_span_examples():
         lambda: rank([[1, 2], [3]]),
         lambda: nullspace([[1, 2, 3]], 2),
         lambda: nullspace([[1, 2]], 3),
-        lambda: in_span([[1, 2]], [1, 2, 3]),
-        lambda: in_span([[1, 2, 3]], [1, 2]),
+        lambda: in_span([[1, 2]], [[1, 2, 3]]),
+        lambda: in_span([[1, 2, 3]], [[1, 2]]),
         lambda: rank([[1.5, 2]]),
         lambda: rank([[2.0, 1]]),
         lambda: rank([[True, 1]]),
         lambda: nullspace([[1, False]], 2),
         lambda: nullspace([["1", 2]], 2),
-        lambda: in_span([[1, 2]], [1.0, 2]),
-        lambda: in_span([[1, None]], [1, 2]),
+        lambda: in_span([[1, 2]], [[1, 2], [1.0, 2]]),
+        lambda: in_span([[1, None]], [[1, 2]]),
     ],
 )
 def test_malformed_input_rejected(call):
@@ -114,8 +112,7 @@ def test_kernel_matches_gauss_jordan_reference(matrix, target):
         assert vec[free] > 0
         assert vec == [vec[free] * x for x in ref]
     target = target[:n_cols]
-    assert in_span(rows, target) == (
-        len(gauss_jordan(rows + [target])[1]) == len(pivots)
-    )
     combination = [sum(row[j] * (k - 2) for k, row in enumerate(rows)) for j in range(n_cols)]
-    assert in_span(rows, combination)
+    assert in_span(rows, [target, combination]) == [
+        len(gauss_jordan(rows + [target])[1]) == len(pivots), True
+    ]

@@ -23,6 +23,7 @@ from regfactor import (
 from helpers import (
     all_regular_ideals,
     assert_unit_coefficients,
+    ideal_doc,
     n7_ideal,
     naive_minor,
     phi_matrix,
@@ -240,4 +241,4 @@ def test_extremal_top_coefficients_are_invariant():
             top = minor_lambda(matrix, spec).leading()
             for i in range(1, ideal.n):
                 residual = poisson_bracket_generator(i, top, ideal)
-                assert residual.is_zero, (ideal.to_json(), spec, i)
+                assert residual.is_zero, (ideal_doc(ideal), spec, i)

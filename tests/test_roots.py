@@ -8,30 +8,26 @@ from regfactor import (
     InputError,
     RegularIdeal,
     close_ideal,
-    compare_prec,
     positive_roots,
     prec_key,
-    root_sum,
 )
-from helpers import random_ideal
+from helpers import ideal_doc, random_ideal, root_sum
 
 
 def test_order_examples():
-    assert compare_prec((7, 1), (6, 1)) == 1
-    assert compare_prec((2, 1), (7, 2)) == 1
-    assert compare_prec((5, 3), (5, 3)) == 0
-    assert compare_prec((6, 1), (7, 1)) == -1
+    # a smaller key is a greater root
+    assert prec_key((7, 1)) < prec_key((6, 1))
+    assert prec_key((2, 1)) < prec_key((7, 2))
+    assert prec_key((5, 3)) == prec_key((5, 3))
+    assert prec_key((6, 1)) > prec_key((7, 1))
 
 
 def test_order_is_total_on_positive_roots():
     roots = positive_roots(6)
-    # prec_key must sort them without ties and agree with compare_prec.
+    # prec_key must sort them without ties, greatest first.
     keys = [prec_key(r) for r in roots]
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
-    for a, b in zip(roots, roots[1:]):
-        assert compare_prec(a, b) == 1
-        assert compare_prec(b, a) == -1
 
 
 def test_order_transitive_sample():
@@ -39,8 +35,8 @@ def test_order_transitive_sample():
     for a in roots:
         for b in roots:
             for c in roots:
-                if compare_prec(a, b) == 1 and compare_prec(b, c) == 1:
-                    assert compare_prec(a, c) == 1
+                if prec_key(a) < prec_key(b) and prec_key(b) < prec_key(c):
+                    assert prec_key(a) < prec_key(c)
 
 
 def test_positive_roots_order_starts_in_first_column():
@@ -133,6 +129,6 @@ def test_free_roots_and_json_round_trip():
     assert all(r not in ideal for r in free)
     keys = [prec_key(r) for r in free]
     assert keys == sorted(keys)
-    doc = ideal.to_json()
+    doc = ideal_doc(ideal)
     again = close_ideal(doc["n"], doc["ideal_generators"])
     assert again.roots == ideal.roots

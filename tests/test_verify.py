@@ -15,14 +15,12 @@ from regfactor import (
     DualPoint,
     GroupElement,
     InputError,
-    Polynomial,
     RegularIdeal,
     all_invariants,
     check_invariance,
     close_ideal,
     coadjoint_act,
     full_report,
-    invariant_in_span,
     oracle_invariants,
     positive_roots,
     skew_rank_stats,
@@ -30,6 +28,9 @@ from regfactor import (
 from helpers import (
     all_regular_ideals,
     assert_int_coefficients,
+    group_identity,
+    group_inverse,
+    group_product,
     n7_ideal,
     random_ideals,
     reference_coadjoint_act,
@@ -41,7 +42,7 @@ from helpers import (
 def test_identity_acts_trivially():
     ideal = n7_ideal()
     point = DualPoint.prime_point(ideal)
-    assert coadjoint_act(GroupElement.identity(7), point).coords == point.coords
+    assert coadjoint_act(group_identity(7), point).coords == point.coords
 
 
 def test_corner_coordinate_is_fixed():
@@ -61,7 +62,7 @@ def test_group_action_composes():
         g = GroupElement.random(7, rng)
         h = GroupElement.random(7, rng)
         point = DualPoint.random(ideal, rng)
-        assert coadjoint_act(g * h, point).coords == coadjoint_act(
+        assert coadjoint_act(group_product(g, h), point).coords == coadjoint_act(
             g, coadjoint_act(h, point)
         ).coords
 
@@ -81,14 +82,12 @@ def test_group_element_validation_and_inverse():
     for rows in (((1, 0), (2.5, 1)), ((True, 0), (1, True)), ((1, 0), ("2", 1))):
         with pytest.raises(InputError, match="int or Fraction"):
             GroupElement(rows)
-    with pytest.raises(InputError, match="size mismatch"):
-        GroupElement(((1, 0), (2, 1))) * GroupElement.identity(3)
     half = GroupElement(((1, 0), (Fraction(1, 2), 1)))
-    assert half * half.inverse() == GroupElement.identity(2)
+    assert group_product(half, group_inverse(half)) == group_identity(2)
     rng = random.Random(3)
     for n in (2, 5, 8):
         g = GroupElement.random(n, rng)
-        assert g * g.inverse() == GroupElement.identity(n)
+        assert group_product(g, group_inverse(g)) == group_identity(n)
 
 
 def test_random_draws_follow_the_randint_stream():
@@ -150,7 +149,7 @@ def test_dual_point_validation():
     values = dict(DualPoint.prime_point(ideal).coords)
     values[(4, 1)] = 2.0
     with pytest.raises(InputError):
-        DualPoint.from_values(ideal, values)
+        DualPoint(ideal, values)
     point = DualPoint.prime_point(ideal)
     matrix = point.matrix()
     assert matrix[0][3] == point.coords[(4, 1)]  # row t=1, column k=4
@@ -282,12 +281,23 @@ def test_oracle_members_are_invariant():
             assert poisson_bracket_generator(i, p, ideal).is_zero
 
 
-def test_invariant_in_span():
-    basis = [y(2, 1), y(3, 1) + y(2, 1)]
-    assert invariant_in_span(basis, y(3, 1))
-    assert invariant_in_span(basis, Polynomial.zero())
-    assert not invariant_in_span(basis, y(3, 2))
-    assert not invariant_in_span([], y(2, 1))
+def test_invariant_in_span(monkeypatch):
+    # oracle_containment tests the one invariant y[3,1] of the free n=3
+    # factor against whatever basis the oracle returns
+    import regfactor.verify as verify
+
+    def outcome(basis):
+        monkeypatch.setattr(verify, "oracle_invariants", lambda *a, **k: basis)
+        check = full_report(close_ideal(3, []), trials=1).checks[-1]
+        assert check.name == "oracle_containment"
+        return check.status, check.detail
+
+    assert outcome([y(2, 1), y(3, 1) + y(2, 1)]) == (
+        "pass", "1 invariants inside a basis of 2")
+    assert outcome([y(3, 1) * y(2, 1), 2 * y(3, 1)])[0] == "pass"
+    outside = ("fail", "invariant of (3, 1) is outside the oracle kernel")
+    assert outcome([y(2, 1), y(3, 2)]) == outside
+    assert outcome([]) == outside
 
 
 def test_full_report_reference_passes():

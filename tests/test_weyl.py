@@ -11,12 +11,9 @@ from regfactor import (
     close_ideal,
     column_max_permutation,
     cross_data,
-    descent_chain,
     invariant_for,
     inversions,
     reflection_product,
-    reflections_in_column,
-    reflections_up_to,
     segment_data,
 )
 from helpers import (
@@ -25,6 +22,7 @@ from helpers import (
     all_regular_ideals,
     assert_unit_coefficients,
     count_inversions_brute,
+    identity_permutation,
     n7_ideal,
     random_ideals,
 )
@@ -37,7 +35,6 @@ def n7_cross(xi):
 def test_permutation_basics():
     p = Permutation((2, 3, 1))
     assert p(1) == 2 and p(3) == 1
-    assert (p * p.inverse()) == Permutation.identity(3)
     assert p.on_root((3, 1)) == (1, 2)
     assert not p.sends_positive((3, 1))
     with pytest.raises(InputError):
@@ -54,7 +51,7 @@ def test_reflection_product_examples():
     assert reflection_product(7, N7_CROSSES).images == N7_W
     single = reflection_product(7, [(4, 1)])
     assert single(1) == 4 and single(4) == 1 and single(2) == 2
-    assert reflection_product(5, []) == Permutation.identity(5)
+    assert reflection_product(5, []) == identity_permutation(5)
     with pytest.raises(InputError):
         reflection_product(7, [(6, 2), (4, 1)])  # increasing order
     with pytest.raises(InputError):
@@ -65,9 +62,9 @@ def test_product_family_examples():
     w4 = n7_cross((7, 4)).w
     assert w4(4) == 3
     assert w4(7) == 1
-    w2 = reflections_up_to(7, N7_CROSSES, 2)
+    w2 = reflection_product(7, [r for r in N7_CROSSES if r[1] <= 2])
     assert w2(2) == 6
-    assert reflections_in_column(7, N7_CROSSES, 4)(4) == 5
+    assert reflection_product(7, [r for r in N7_CROSSES if r[1] == 4])(4) == 5
     assert [d.xi for d in cross_data(7, N7_CROSSES)] == list(N7_CROSSES)
     assert cross_data(7, N7_CROSSES)[-1].w.images == N7_W
     assert cross_data(7, []) == ()
@@ -83,7 +80,7 @@ def test_product_family_examples():
 
 def test_inversions_examples():
     assert inversions(Permutation(N7_W)) == 17
-    assert inversions(Permutation.identity(6)) == 0
+    assert inversions(identity_permutation(6)) == 0
     assert inversions(Permutation((3, 2, 1))) == 3
 
 
@@ -112,21 +109,10 @@ def test_cross_data_rejects_broken_case_split():
 
 
 def test_descent_chain_examples():
-    assert descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 7) == [7, 4, 1]
-    assert descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 6) == [6, 2]
-
-
-def test_descent_chain_errors():
-    # case-1 cross: chains undefined
-    crosses = build_diagram(close_ideal(4, [])).crosses
-    case1 = next(d for d in cross_data(4, crosses) if d.xi == (3, 2))
-    with pytest.raises(InputError):
-        descent_chain(4, crosses, case1, 4)
-    # rows without a descent (unchained rows of the n=7 case-2 cross)
-    with pytest.raises(InputError):
-        descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 5)
-    with pytest.raises(InputError):
-        descent_chain(7, N7_CROSSES, n7_cross((7, 4)), 3)
+    # one chain per extra row, in row order; rows 3 and 5 admit no descent
+    data = segment_data(n7_ideal(), N7_CROSSES, n7_cross((7, 4)))
+    assert data.chains == ((6, 2), (7, 4, 1))
+    assert not {3, 5} & {v for chain in data.chains for v in chain}
 
 
 def test_segment_data_reference():
@@ -157,10 +143,8 @@ def test_descent_chain_takes_first_drop():
     crosses = build_diagram(ideal).crosses
     xi = next(d for d in cross_data(7, crosses) if d.xi == (7, 5))
     assert (xi.h, xi.case) == (4, 2)
-    assert descent_chain(7, crosses, xi, 7) == [7, 5, 2]
-    assert descent_chain(7, crosses, xi, 6) == [6, 3]
     data = segment_data(ideal, crosses, xi)
-    assert {c[-1] for c in data.chains} == {2, 3}
+    assert data.chains == ((6, 3), (7, 5, 2))
     assert data.d_star == 1
 
 
@@ -237,14 +221,6 @@ def test_case_split_is_exhaustive():
                 assert data.h == data.xi[0]
             else:
                 assert data.h < data.xi[1]
-
-
-def test_to_json_segment_data():
-    ideal = n7_ideal()
-    doc = segment_data(ideal, N7_CROSSES, n7_cross((7, 4))).to_json()
-    assert doc["xi"] == [7, 4]
-    assert doc["d_star"] == 1
-    assert doc["chains"] == [[6, 2], [7, 4, 1]]
 
 
 def test_construction_error_is_not_raised_for_valid_instances():

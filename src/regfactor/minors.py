@@ -244,12 +244,14 @@ def enumerate_extremal(
 
     Minors of full diagonal degree are skipped: their highest coefficient
     is a scalar and carries no invariant.  Raises InputError when
-    ``max_size`` is below 1, and BudgetError (partial results attached,
-    flagged invalid) when the scan would examine more candidate specs than
-    ``budget``.
+    ``max_size`` is below 1 or ``budget`` below 0, and BudgetError (partial
+    results attached, flagged invalid) when the scan would examine more
+    candidate specs than ``budget``.
     """
     if max_size is not None and max_size < 1:
         raise InputError("max_size must be at least 1")
+    if budget < 0:
+        raise InputError("budget must be at least 0")
     n = ideal.n
     matrix = characteristic_matrix(ideal)
     max_size = n if max_size is None else min(max_size, n)

@@ -413,6 +413,23 @@ def reference_oracle(ideal: RegularIdeal, max_degree: int) -> list[Polynomial]:
     return basis
 
 
+def one_entry_columns(ideal: RegularIdeal, max_degree: int) -> tuple[set, set]:
+    """Every monomial of degree 1..``max_degree`` as a tuple of roots (one
+    per copy, in free-root order), and those with a bracket image that is
+    the only term of its equation: the oracle's first round of forced
+    columns, found one ``poisson_bracket_generator`` call at a time."""
+    monos = set()
+    equations: dict[tuple, set] = {}
+    for degree in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(ideal.free_roots(), degree):
+            monos.add(combo)
+            p = prod(map(Polynomial.variable, combo), start=Polynomial.constant(1))
+            for i in range(1, ideal.n):
+                for out in poisson_bracket_generator(i, p, ideal).terms:
+                    equations.setdefault((i, out), set()).add(combo)
+    forced = {c for row in equations.values() if len(row) == 1 for c in row}
+    return monos, forced
+
 
 def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     """The coadjoint move the dense way: both products g·B and (g·B)·g⁻¹ in

@@ -126,6 +126,24 @@ def test_size_flags_below_one_rejected(problem, value, capsys):
         assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_negative_budget_rejected(problem, value, capsys):
+    for command in ("verify", "oracle", "extremal-scan"):
+        code, out, err = run(capsys, command, problem, "--budget", value)
+        assert (code, out) == (2, "")
+        assert err == "error: budget must be at least 0\n"
+
+
+def test_zero_budget_skips_or_exits_3(problem, capsys):
+    code, out, _ = run(capsys, "verify", problem, "--budget", "0")
+    assert code == 0
+    assert "SKIPPED oracle_containment (5984 monomials exceed budget 0)" in out
+    for command in ("oracle", "extremal-scan"):
+        code, out, err = run(capsys, command, problem, "--budget", "0")
+        assert (code, out) == (3, "")
+        assert "budget" in err
+
+
 def test_verify_failure_exit(monkeypatch, small_problem, capsys):
     from regfactor.verify import CheckResult, VerificationReport
     import regfactor.cli as cli

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from regfactor import verify
 from regfactor import (
     BudgetError,
     ConstructionError,
@@ -32,6 +33,7 @@ from helpers import (
     group_inverse,
     group_product,
     n7_ideal,
+    one_entry_columns,
     random_ideals,
     reference_coadjoint_act,
     reference_oracle,
@@ -231,6 +233,9 @@ def test_oracle_budget_guard():
         oracle_invariants(close_ideal(6, []), 4, budget=100)
     with pytest.raises(InputError):
         oracle_invariants(close_ideal(3, []), 0)
+    with pytest.raises(InputError):
+        oracle_invariants(close_ideal(3, []), 2, budget=-1)
+    assert oracle_invariants(close_ideal(2, []), 1, budget=1) == [y(2, 1)]
 
 
 def test_oracle_matches_reference_elimination():
@@ -240,6 +245,9 @@ def test_oracle_matches_reference_elimination():
             assert basis == reference_oracle(ideal, 3)
             for p in basis:
                 assert_int_coefficients(p)
+    for n in range(1, 6):
+        for ideal in all_regular_ideals(n):
+            assert oracle_invariants(ideal, 4) == reference_oracle(ideal, 4), sorted(ideal.roots)
     # The ideals with n <= 7 whose degree-4 kernel has a weight component of
     # dimension above one, where the column order picks the basis: one at
     # n=6 and nine at n=7, found by a scan of every ideal.
@@ -270,6 +278,36 @@ def test_oracle_reference_basis_pinned():
         assert len(basis) == size
         digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
         assert digest == expected, degree
+
+
+def test_oracle_bases_of_every_ideal_pinned():
+    # sha256 over every regular ideal in all_regular_ideals order of its
+    # degree-4 basis strings, one per line, each ideal closed by a NUL byte
+    for sizes, expected in (
+        (range(1, 7), "83a1f17eb972678b04d870417fa9693bb93e4638a70d42118efbb2e64d54b94d"),
+        ([7], "53f017422160716738fdc6e300b66c5eaebcd4e2926f55522f96c0801dc10bd8"),
+    ):
+        digest = hashlib.sha256()
+        for n in sizes:
+            for ideal in all_regular_ideals(n):
+                basis = oracle_invariants(ideal, 4)
+                digest.update("\n".join(map(str, basis)).encode() + b"\0")
+        assert digest.hexdigest() == expected, list(sizes)
+
+
+def test_oracle_first_round_is_the_one_entry_equations():
+    # The support-mask rule keeps exactly the monomials that no one-entry
+    # equation forces, and only those build equations.
+    cases = [(ideal, 3) for n in range(1, 6) for ideal in all_regular_ideals(n)]
+    for ideal, degree in cases + [(n7_ideal(), 4)]:
+        variables = ideal.free_roots()
+        _, groups = verify._oracle_columns(ideal, degree)
+        kept = [tuple(variables[k] for k in combo)
+                for members in groups.values() for combo, _ in members]
+        monos, forced = one_entry_columns(ideal, degree)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == monos - forced, sorted(ideal.roots)
+    assert (len(kept), len(monos)) == (388, 5984)
 
 
 def test_oracle_members_are_invariant():

@@ -181,44 +181,55 @@ def cmd_oracle(ideal: RegularIdeal, args) -> int:
     return EXIT_OK
 
 
+# Parents built once at import: build_parser runs on every main call, and
+# composing ready parents through ``parents=`` is cheaper than adding each
+# argument anew.
+_BASE = argparse.ArgumentParser(add_help=False)
+_BASE.add_argument("problem", help="path to the JSON problem file")
+_BASE.add_argument("--format", choices=["text", "json"], default="text")
+_BASE.add_argument(
+    "--strict",
+    action="store_true",
+    help="reject generator sets that are not already closed",
+)
+
+
+def _int_flag(name: str, default: Optional[int]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(name, type=int, default=default)
+    return parser
+
+
+_FLAGS = {
+    name: _int_flag(name, default)
+    for name, default in [("--seed", 0), ("--trials", 100), ("--max-degree", 4),
+                          ("--budget", DEFAULT_BUDGET), ("--max-size", None)]
+}
+
+# command -> (handler, help, the flags it reads besides problem, --format
+# and --strict).  A flag a command does not read is an argparse error.
 _COMMANDS = {
-    "diagram": cmd_diagram,
-    "permutation": cmd_permutation,
-    "invariants": cmd_invariants,
-    "verify": cmd_verify,
-    "extremal-scan": cmd_extremal_scan,
-    "orbit-stats": cmd_orbit_stats,
-    "oracle": cmd_oracle,
+    "diagram": (cmd_diagram, "grid and step trace", ()),
+    "permutation": (cmd_permutation, "column-max permutation data", ()),
+    "invariants": (cmd_invariants, "per-cross invariant records", ()),
+    "verify": (cmd_verify, "run the full verification report",
+               ("--seed", "--trials", "--max-degree", "--budget")),
+    "extremal-scan": (cmd_extremal_scan, "enumerate extremal minors",
+                      ("--budget", "--max-size")),
+    "orbit-stats": (cmd_orbit_stats, "skew form rank statistics", ("--seed", "--trials")),
+    "oracle": (cmd_oracle, "brute-force low-degree invariants", ("--max-degree", "--budget")),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("problem", help="path to the JSON problem file")
-    shared.add_argument("--format", choices=["text", "json"], default="text")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--trials", type=int, default=100)
-    shared.add_argument("--max-degree", type=int, default=4)
-    shared.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    shared.add_argument(
-        "--strict",
-        action="store_true",
-        help="reject generator sets that are not already closed",
-    )
     parser = argparse.ArgumentParser(
         prog="regfactor",
         description="Diagrams, permutations, and coadjoint invariants of "
         "regular factors of the unitriangular Lie algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("diagram", parents=[shared], help="grid and step trace")
-    sub.add_parser("permutation", parents=[shared], help="column-max permutation data")
-    sub.add_parser("invariants", parents=[shared], help="per-cross invariant records")
-    sub.add_parser("verify", parents=[shared], help="run the full verification report")
-    scan = sub.add_parser("extremal-scan", parents=[shared], help="enumerate extremal minors")
-    scan.add_argument("--max-size", type=int, default=None)
-    sub.add_parser("orbit-stats", parents=[shared], help="skew form rank statistics")
-    sub.add_parser("oracle", parents=[shared], help="brute-force low-degree invariants")
+    for command, (_, text, flags) in _COMMANDS.items():
+        sub.add_parser(command, parents=[_BASE, *(_FLAGS[f] for f in flags)], help=text)
     return parser
 
 
@@ -230,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         ideal = load_problem(args.problem, strict=args.strict)
-        return _COMMANDS[args.command](ideal, args)
+        return _COMMANDS[args.command][0](ideal, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -326,6 +326,12 @@ def skew_rank_stats(
     return SkewStats(best, dim - best)
 
 
+def _oracle_size(ideal: RegularIdeal, max_degree: int) -> int:
+    """Number of nonconstant monomials of degree <= ``max_degree`` the oracle scans."""
+    variables = len(ideal.free_roots())
+    return comb(variables + max_degree, max_degree) - 1 if variables else 0
+
+
 def oracle_invariants(
     ideal: RegularIdeal,
     max_degree: int,
@@ -375,7 +381,7 @@ def oracle_invariants(
         raise InputError("budget must be at least 0")
     n = ideal.n
     variables = ideal.free_roots()
-    total = comb(len(variables) + max_degree, max_degree) - 1 if variables else 0
+    total = _oracle_size(ideal, max_degree)
     if total > budget:
         raise BudgetError(
             f"oracle would scan {total} monomials, budget is {budget}"
@@ -640,8 +646,7 @@ def full_report(
             CheckResult("jacobian_rank", "skipped", detail="no records")
         )
 
-    variables = len(ideal.free_roots())
-    oracle_size = comb(variables + max_degree, max_degree) - 1 if variables else 0
+    oracle_size = _oracle_size(ideal, max_degree)
     if not records_ok:
         report.checks.append(
             CheckResult("oracle_containment", "skipped", detail="no records")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from regfactor.cli import main
+from regfactor.cli import _COMMANDS, _FLAGS, build_parser, main
 
 
 @pytest.fixture()
@@ -205,6 +205,29 @@ def test_strict_mode_rejects_non_closed(problem, capsys):
     assert "not closed" in err
 
 
+READ_FLAGS = [(c, f) for c, (_, _, reads) in _COMMANDS.items() for f in reads]
+UNREAD_FLAGS = [(c, f) for c, (_, _, reads) in _COMMANDS.items() for f in _FLAGS
+                if f not in reads]
+
+
+@pytest.mark.parametrize("command,flag", READ_FLAGS)
+def test_read_flag_parsed(command, flag):
+    args = build_parser().parse_args([command, "problem.json", flag, "7"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 7
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(c, f, "1") for c, f in UNREAD_FLAGS]
+    + [("diagram", "--budget", "-5"), ("diagram", "--max-degree", "-1"),
+       ("diagram", "--trials", "0")],
+)
+def test_unread_flag_rejected(problem, command, flag, value, capsys):
+    code, out, err = run(capsys, command, problem, flag, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
 def test_unknown_subcommand(problem, capsys):
     assert run(capsys, "frobnicate", problem)[0] == 2
 
@@ -220,7 +243,8 @@ def test_byte_identical_reruns(problem, capsys):
 
 def test_json_documents_round_trip(problem, capsys):
     for command in ["diagram", "permutation", "invariants", "orbit-stats"]:
-        code, out, _ = run(capsys, command, problem, "--format", "json", "--trials", "5")
+        trials = ["--trials", "5"] if command == "orbit-stats" else []
+        code, out, _ = run(capsys, command, problem, "--format", "json", *trials)
         assert code == 0
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc

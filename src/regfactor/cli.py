@@ -4,7 +4,8 @@ Every subcommand reads one problem file of the form
 ``{"n": int, "ideal_generators": [[i, j], ...]}`` and writes a text or JSON
 document to stdout.  Identical inputs and seeds produce byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource budget exceeded.
+3 resource budget exceeded; in JSON mode exit 3 also prints
+``{"valid": false, "error", "partial"}`` with whatever was computed.
 """
 
 from __future__ import annotations
@@ -131,12 +132,7 @@ def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
     entries = []
     for spec in specs:
         entries.append(
-            {
-                "rows": list(spec.rows),
-                "cols": list(spec.cols),
-                "degree": minor_degree(matrix, spec),
-                "extremal": True,
-            }
+            {**spec.to_json(), "degree": minor_degree(matrix, spec), "extremal": True}
         )
     text = "\n".join(
         f"rows={e['rows']} cols={e['cols']} degree={e['degree']}" for e in entries
@@ -247,6 +243,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            partial = [item.to_json() for item in exc.partial]
+            _emit({"valid": exc.valid, "error": str(exc), "partial": partial}, "", "json")
         return EXIT_BUDGET
     except ConstructionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -48,6 +48,9 @@ class MinorSpec:
     def size(self) -> int:
         return len(self.rows)
 
+    def to_json(self) -> dict:
+        return {"rows": list(self.rows), "cols": list(self.cols)}
+
 
 @dataclass(frozen=True)
 class CharMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
@@ -32,6 +33,24 @@ from .weyl import column_max_permutation, inversions, reflection_product
 _ENTRY_RANGE = (-9, 9)
 # Sampled points of the skew_rank check, besides the distinct-prime point.
 _RANK_TRIALS = 20
+
+
+def _draws(rng: random.Random, count: int) -> list[int]:
+    """``count`` successive ``rng.randint(*_ENTRY_RANGE)`` values, drawn as
+    randint draws them: ``getrandbits`` of the width's bit length, drawn
+    again while it reaches the width, plus the low end.  Same values and
+    the same generator state afterwards, without randint's per-call checks."""
+    lo, hi = _ENTRY_RANGE
+    width = hi - lo + 1
+    bits = width.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        out.append(r + lo)
+    return out
 
 
 def _primes(count: int) -> list[int]:
@@ -56,16 +75,15 @@ class DualPoint:
     coords: dict[Root, Scalar]
 
     def __post_init__(self):
-        free = set(self.ideal.free_roots())
-        if set(self.coords) != free:
+        if self.coords.keys() != set(self.ideal.free_roots()):
             raise InputError("point must assign exactly the roots outside the ideal")
         if not set(map(type, self.coords.values())) <= linalg.EXACT_TYPES:
             raise InputError("point coordinates must be int or Fraction")
 
     @classmethod
     def random(cls, ideal: RegularIdeal, rng: random.Random) -> "DualPoint":
-        lo, hi = _ENTRY_RANGE
-        return cls(ideal, {r: rng.randint(lo, hi) for r in ideal.free_roots()})
+        free = ideal.free_roots()
+        return cls(ideal, dict(zip(free, _draws(rng, len(free)))))
 
     @classmethod
     def prime_point(cls, ideal: RegularIdeal) -> "DualPoint":
@@ -95,26 +113,26 @@ class GroupElement:
 
     def __post_init__(self):
         n = len(self.rows)
-        if not {type(x) for row in self.rows for x in row} <= linalg.EXACT_TYPES:
+        if not set(map(type, chain.from_iterable(self.rows))) <= linalg.EXACT_TYPES:
             raise InputError("group element entries must be int or Fraction")
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise InputError("group element must be square")
-            if row[i] != 1 or any(row[j] != 0 for j in range(i + 1, n)):
+            # Entries are exact here, so a truthy one is nonzero.
+            if row[i] != 1 or any(row[i + 1:]):
                 raise InputError("group element must be lower unitriangular")
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "GroupElement":
-        lo, hi = _ENTRY_RANGE
-        return cls(
-            tuple(
-                tuple(
-                    rng.randint(lo, hi) if j < i else (1 if i == j else 0)
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
+        """Entries below the diagonal drawn in row order."""
+        below = _draws(rng, n * (n - 1) // 2)
+        unit = (1,) + (0,) * n
+        rows = []
+        start = 0
+        for i in range(n):
+            rows.append(tuple(below[start:start + i]) + unit[: n - i])
+            start += i
+        return cls(tuple(rows))
 
     @property
     def n(self) -> int:
@@ -132,24 +150,30 @@ def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     projection reads.  Row i of L = g·B there is the sum of g[i][m]·B[m]
     over m <= i, and F = L·g⁻¹ solves F·g = L: back-substitution from the
     last column, F[i][j] = L[i][j] - sum over k > j of F[i][k]·g[k][j],
-    reads only upper cells.  No inverse of ``g`` is formed.
+    reads only upper cells.  No inverse of ``g`` is formed.  Row i starts
+    from B[i], since g[i][i] = 1, and zero coefficients add nothing.  Rows
+    are overwritten in place from the last one up: row i reads B[m] only
+    for m < i, and those rows are still untouched.
     """
     n = point.ideal.n
     if g.n != n:
         raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
-    b = point.matrix()
-    full = []
-    for i, gi in enumerate(g.rows):
-        f = [0] * n
-        for m in range(i + 1):
-            c, bm = gi[m], b[m]
-            for j in range(i + 1, n):
-                f[j] += c * bm[j]
+    full = point.matrix()
+    rows = g.rows
+    for i in range(n - 1, -1, -1):
+        f, gi = full[i], rows[i]
+        for m in range(i):
+            c = gi[m]
+            if c:
+                bm = full[m]
+                for j in range(i + 1, n):
+                    f[j] += c * bm[j]
         for j in range(n - 1, i, -1):
-            c, gj = f[j], g.rows[j]
-            for m in range(i + 1, j):
-                f[m] -= c * gj[m]
-        full.append(f)
+            c = f[j]
+            if c:
+                gj = rows[j]
+                for m in range(i + 1, j):
+                    f[m] -= c * gj[m]
     coords = {}
     for (k, t) in point.ideal.free_roots():
         coords[(k, t)] = full[t - 1][k - 1]

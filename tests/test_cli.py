@@ -144,6 +144,36 @@ def test_zero_budget_skips_or_exits_3(problem, capsys):
         assert "budget" in err
 
 
+def test_zero_budget_json_payload(problem, capsys):
+    for command, message in (
+        ("oracle", "oracle would scan 5984 monomials, budget is 0"),
+        ("extremal-scan", "extremal scan exceeded budget of 0 specs"),
+    ):
+        code, out, err = run(capsys, command, problem, "--budget", "0", "--format", "json")
+        assert code == 3
+        assert json.loads(out) == {"valid": False, "error": message, "partial": []}
+        assert message in err
+
+
+def test_extremal_scan_budget_json_partial(problem, capsys):
+    # 60 specs stop the scan among the size-2 candidates, after the three
+    # extremal minors of size 1: the partial is a prefix of the full scan.
+    code, out, _ = run(capsys, "extremal-scan", problem, "--budget", "60", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc == {
+        "valid": False,
+        "error": "extremal scan exceeded budget of 60 specs",
+        "partial": [{"rows": [4], "cols": [1]}, {"rows": [6], "cols": [2]},
+                    {"rows": [7], "cols": [3]}],
+    }
+    code, out, _ = run(capsys, "extremal-scan", problem, "--format", "json")
+    assert code == 0
+    entries = json.loads(out)["extremal_minors"]
+    assert len(entries) > 3
+    assert doc["partial"] == [{"rows": e["rows"], "cols": e["cols"]} for e in entries[:3]]
+
+
 def test_verify_failure_exit(monkeypatch, small_problem, capsys):
     from regfactor.verify import CheckResult, VerificationReport
     import regfactor.cli as cli

@@ -81,6 +81,12 @@ def test_action_preserves_ideal_annihilation():
 def test_group_element_validation_and_inverse():
     with pytest.raises(InputError):
         GroupElement(((1, 0), (2, 2)))
+    for rows in (((1, 3), (0, 1)), ((1, 0, 0), (2, 1, Fraction(1, 2)), (0, 0, 1))):
+        with pytest.raises(InputError, match="lower unitriangular"):
+            GroupElement(rows)
+    with pytest.raises(InputError, match="square"):
+        GroupElement(((1, 0), (2, 1, 0)))
+    assert GroupElement(((1, Fraction(0)), (2, 1))).n == 2
     for rows in (((1, 0), (2.5, 1)), ((True, 0), (1, True)), ((1, 0), ("2", 1))):
         with pytest.raises(InputError, match="int or Fraction"):
             GroupElement(rows)
@@ -114,12 +120,20 @@ def test_random_draws_follow_the_randint_stream():
 
 def test_coadjoint_act_matches_dense_reference():
     rng = random.Random(6)
-    ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
+    ideals = [i for n in range(1, 7) for i in all_regular_ideals(n)] + [n7_ideal()]
     for ideal in ideals:
+        n = ideal.n
         for _ in range(4):
-            g = GroupElement.random(ideal.n, rng)
+            g = GroupElement.random(n, rng)
             point = DualPoint.random(ideal, rng)
             assert coadjoint_act(g, point) == reference_coadjoint_act(g, point)
+        # A zero below the diagonal in every row: coefficients the move skips.
+        rows = [list(row) for row in GroupElement.random(n, rng).rows]
+        for i in range(1, n):
+            rows[i][rng.randrange(i)] = 0
+        g = GroupElement(tuple(map(tuple, rows)))
+        point = DualPoint.random(ideal, rng)
+        assert coadjoint_act(g, point) == reference_coadjoint_act(g, point)
     rows = [[int(i == j) for j in range(7)] for i in range(7)]
     for i in range(7):
         for j in range(i):
@@ -293,6 +307,20 @@ def test_oracle_bases_of_every_ideal_pinned():
                 basis = oracle_invariants(ideal, 4)
                 digest.update("\n".join(map(str, basis)).encode() + b"\0")
         assert digest.hexdigest() == expected, list(sizes)
+
+
+def test_full_reports_of_every_n6_ideal_pinned():
+    # sha256 over every n=6 regular ideal in all_regular_ideals order of its
+    # sorted-key JSON report at max_degree 2 with the ideal's index as
+    # seed, each closed by a newline: the catalan-sweep workload's reports,
+    # coadjoint trial draws and witnesses included.
+    digest = hashlib.sha256()
+    for k, ideal in enumerate(all_regular_ideals(6)):
+        doc = full_report(ideal, seed=k, max_degree=2).to_json()
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "3ae3aa288cb3ee7f060daab37c40558641bf5206f5524b0bae21a39c21bd7407"
+    )
 
 
 def test_oracle_first_round_is_the_one_entry_equations():

@@ -11,6 +11,7 @@ output.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -177,30 +178,8 @@ def cmd_oracle(ideal: RegularIdeal, args) -> int:
     return EXIT_OK
 
 
-# Parents built once at import: build_parser runs on every main call, and
-# composing ready parents through ``parents=`` is cheaper than adding each
-# argument anew.
-_BASE = argparse.ArgumentParser(add_help=False)
-_BASE.add_argument("problem", help="path to the JSON problem file")
-_BASE.add_argument("--format", choices=["text", "json"], default="text")
-_BASE.add_argument(
-    "--strict",
-    action="store_true",
-    help="reject generator sets that are not already closed",
-)
-
-
-def _int_flag(name: str, default: Optional[int]) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(name, type=int, default=default)
-    return parser
-
-
-_FLAGS = {
-    name: _int_flag(name, default)
-    for name, default in [("--seed", 0), ("--trials", 100), ("--max-degree", 4),
-                          ("--budget", DEFAULT_BUDGET), ("--max-size", None)]
-}
+_FLAGS = {"--seed": 0, "--trials": 100, "--max-degree": 4, "--budget": DEFAULT_BUDGET,
+          "--max-size": None}
 
 # command -> (handler, help, the flags it reads besides problem, --format
 # and --strict).  A flag a command does not read is an argparse error.
@@ -225,14 +204,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text, flags) in _COMMANDS.items():
-        sub.add_parser(command, parents=[_BASE, *(_FLAGS[f] for f in flags)], help=text)
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("problem", help="path to the JSON problem file")
+        cmd.add_argument("--format", choices=["text", "json"], default="text")
+        cmd.add_argument(
+            "--strict",
+            action="store_true",
+            help="reject generator sets that are not already closed",
+        )
+        for flag in flags:
+            cmd.add_argument(flag, type=int, default=_FLAGS[flag])
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first one.  Parsing
+    leaves no state in it: each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -125,14 +125,7 @@ class GroupElement:
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "GroupElement":
         """Entries below the diagonal drawn in row order."""
-        below = _draws(rng, n * (n - 1) // 2)
-        unit = (1,) + (0,) * n
-        rows = []
-        start = 0
-        for i in range(n):
-            rows.append(tuple(below[start:start + i]) + unit[: n - i])
-            start += i
-        return cls(tuple(rows))
+        return cls(_unitriangular(n, _draws(rng, n * (n - 1) // 2)))
 
     @property
     def n(self) -> int:
@@ -142,24 +135,47 @@ class GroupElement:
         return [[str(x) for x in row] for row in self.rows]
 
 
+def _unitriangular(n: int, below: Sequence) -> tuple[tuple, ...]:
+    """The lower unitriangular rows with ``below`` below the diagonal, in row order."""
+    unit = (1,) + (0,) * n
+    rows = []
+    start = 0
+    for i in range(n):
+        rows.append(tuple(below[start:start + i]) + unit[: n - i])
+        start += i
+    return tuple(rows)
+
+
 def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     """Conjugate the matrix view B by ``g`` and project back onto the strictly
-    upper pattern; the ideal-dual cells of the result must already vanish.
+    upper pattern; the ideal-dual cells of the result must already vanish."""
+    n = point.ideal.n
+    if g.n != n:
+        raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
+    full = point.matrix()
+    _move(g.rows, full, point.ideal.roots)
+    coords = {}
+    for (k, t) in point.ideal.free_roots():
+        coords[(k, t)] = full[t - 1][k - 1]
+    return DualPoint(point.ideal, coords)
+
+
+def _move(rows: Sequence[Sequence], full: list[list], ideal_roots) -> None:
+    """The coadjoint move of ``coadjoint_act`` in place on the matrix view
+    ``full``, with g given by ``rows``, of which only the entries below the
+    diagonal are read; raises ConstructionError if a cell of
+    ``ideal_roots`` ends nonzero.
 
     Only the strictly upper cells of g·B·g⁻¹ are computed, the ones the
     projection reads.  Row i of L = g·B there is the sum of g[i][m]·B[m]
     over m <= i, and F = L·g⁻¹ solves F·g = L: back-substitution from the
     last column, F[i][j] = L[i][j] - sum over k > j of F[i][k]·g[k][j],
-    reads only upper cells.  No inverse of ``g`` is formed.  Row i starts
-    from B[i], since g[i][i] = 1, and zero coefficients add nothing.  Rows
-    are overwritten in place from the last one up: row i reads B[m] only
-    for m < i, and those rows are still untouched.
+    reads only upper cells.  No inverse of g is formed.  Row i starts from
+    B[i], since g[i][i] = 1, and zero coefficients add nothing.  Rows are
+    overwritten in place from the last one up: row i reads B[m] only for
+    m < i, and those rows are still untouched.
     """
-    n = point.ideal.n
-    if g.n != n:
-        raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
-    full = point.matrix()
-    rows = g.rows
+    n = len(full)
     for i in range(n - 1, -1, -1):
         f, gi = full[i], rows[i]
         for m in range(i):
@@ -174,15 +190,11 @@ def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
                 gj = rows[j]
                 for m in range(i + 1, j):
                     f[m] -= c * gj[m]
-    coords = {}
-    for (k, t) in point.ideal.free_roots():
-        coords[(k, t)] = full[t - 1][k - 1]
-    for (k, t) in point.ideal.roots:
+    for (k, t) in ideal_roots:
         if full[t - 1][k - 1] != 0:
             raise ConstructionError(
                 f"coadjoint action left a nonzero value on the ideal cell ({k},{t})"
             )
-    return DualPoint(point.ideal, coords)
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,13 @@ class VerificationReport:
         return out
 
 
+def _require_int(**values) -> None:
+    """Raise InputError unless every value is an int; a bool is not one."""
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
 def check_invariance(
     records: Sequence[InvariantRecord],
     ideal: RegularIdeal,
@@ -245,7 +264,21 @@ def check_invariance(
 
     First all subdiagonal generator brackets must reduce to zero; then the
     value must be constant under ``trials`` seeded coadjoint moves.
+
+    The trials run on flat integer lists in ``ideal.free_roots()`` order.
+    Each record is compiled once into (coefficient, variable positions)
+    terms.  Each trial makes one ``_draws`` call, the same ``randint(-9,
+    9)`` stream ``GroupElement.random`` then ``DualPoint.random`` read: the
+    entries of g below the diagonal row by row, then the point down the free
+    roots.  The point goes into the matrix view through precomputed cells,
+    ``_move`` (the body of ``coadjoint_act``, ideal-cell guard included)
+    moves it, and the moved values are read back from the same cells.  Only
+    a failing trial builds the ``GroupElement``, ``DualPoint`` and
+    ``coadjoint_act`` objects, and its before and after values come from
+    ``Polynomial.evaluate``, so the witness is what the public API
+    reproduces from the seed.
     """
+    _require_int(trials=trials, seed=seed)
     if trials < 1:
         raise InputError("at least one trial is required")
     n = ideal.n
@@ -273,16 +306,28 @@ def check_invariance(
         )
     )
 
+    free = ideal.free_roots()
+    position = {root: p for p, root in enumerate(free)}
+    compiled = [_compile(record.invariant, position) for record in records]
+    cells = [(t - 1, k - 1) for (k, t) in free]
+    below = n * (n - 1) // 2
+    starts = [(i, i * (i - 1) // 2) for i in range(n)]
     rng = random.Random(seed)
     witness = None
     for trial in range(trials):
-        g = GroupElement.random(n, rng)
-        point = DualPoint.random(ideal, rng)
-        moved = coadjoint_act(g, point)
-        for record in records:
-            before = record.invariant.evaluate(point.coords)
-            after = record.invariant.evaluate(moved.coords)
-            if before != after:
+        drawn = _draws(rng, below + len(free))
+        x = drawn[below:]
+        full = [[0] * n for _ in range(n)]
+        for (r, c), v in zip(cells, x):
+            full[r][c] = v
+        _move([drawn[s:s + i] for i, s in starts], full, ideal.roots)
+        moved = [full[r][c] for r, c in cells]
+        for record, terms in zip(records, compiled):
+            if _value(terms, x) != _value(terms, moved):
+                g = GroupElement(_unitriangular(n, drawn[:below]))
+                point = DualPoint(ideal, dict(zip(free, x)))
+                before = record.invariant.evaluate(point.coords)
+                after = record.invariant.evaluate(coadjoint_act(g, point).coords)
                 witness = {
                     "xi": list(record.xi),
                     "trial": trial,
@@ -306,6 +351,32 @@ def check_invariance(
     return report
 
 
+def _compile(
+    poly: Polynomial, position: dict[Root, int]
+) -> list[tuple[Scalar, tuple[int, ...]]]:
+    """``poly`` as (coefficient, positions) terms over the free roots, a
+    position repeated once per power."""
+    terms = []
+    for mono, coef in poly.terms.items():
+        spots: list[int] = []
+        for r, e in mono:
+            if r not in position:
+                raise InputError(f"y[{r[0]},{r[1]}] is not a coordinate of the factor")
+            spots += [position[r]] * e
+        terms.append((coef, tuple(spots)))
+    return terms
+
+
+def _value(terms: list[tuple[Scalar, tuple[int, ...]]], x: list[int]) -> Scalar:
+    """The value of compiled ``terms`` at the point ``x``."""
+    total = 0
+    for value, spots in terms:
+        for p in spots:
+            value *= x[p]
+        total += value
+    return total
+
+
 class SkewStats(NamedTuple):
     max_rank: int
     corank: int
@@ -320,6 +391,7 @@ def skew_rank_stats(
     the value of their bracket at the point.  Sampling covers ``trials``
     random points plus the distinct-prime point.
     """
+    _require_int(trials=trials, seed=seed)
     if trials < 1:
         raise InputError("at least one trial is required")
     basis = ideal.free_roots()
@@ -368,8 +440,9 @@ def oracle_invariants(
     weight of a monomial, so the kernel splits across weight components and
     each component is solved independently.  Basis elements come back with
     integer coprime coefficients and positive leading term.  Raises
-    InputError when ``max_degree`` is below 1 or ``budget`` below 0, and
-    BudgetError when there are more than ``budget`` monomials.
+    InputError when ``max_degree`` or ``budget`` is not an int, when
+    ``max_degree`` is below 1 or ``budget`` below 0, and BudgetError when
+    there are more than ``budget`` monomials.
 
     Nearly every coefficient is settled before any elimination.  An
     equation with one nonzero term forces that monomial's coefficient to
@@ -399,6 +472,7 @@ def oracle_invariants(
     scaling, as from the full system in that order, whatever the order of
     the rows.
     """
+    _require_int(max_degree=max_degree, budget=budget)
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
     if budget < 0:
@@ -551,9 +625,15 @@ def full_report(
 ) -> VerificationReport:
     """Run every checkable identity for one regular factor.
 
-    Raises InputError, before any check runs, when ``max_degree`` is below 1
-    or ``oracle_budget`` is below 0.
+    Raises InputError, before any check runs, when ``trials``, ``seed``,
+    ``max_degree`` or ``oracle_budget`` is not an int (a bool is not one),
+    when ``trials`` or ``max_degree`` is below 1, or when ``oracle_budget``
+    is below 0.
     """
+    _require_int(trials=trials, seed=seed, max_degree=max_degree,
+                 oracle_budget=oracle_budget)
+    if trials < 1:
+        raise InputError("at least one trial is required")
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
     if oracle_budget < 0:

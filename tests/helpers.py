@@ -5,7 +5,8 @@ independent oracles (permutation-sum determinant, brute inversion count,
 Fraction Gauss-Jordan elimination, per-monomial bracket oracle, dense
 coadjoint conjugation, the plain formal matrix, the full Poisson bracket
 and reduction modulo the ideal) that never touch the code paths they
-check."""
+check; and the coadjoint trials through the public objects, whose move is
+the library's own, checked against the dense conjugation."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
 from regfactor import (
+    CheckResult,
     ConstructionError,
     DualPoint,
     GroupElement,
@@ -24,6 +26,7 @@ from regfactor import (
     RegularIdeal,
     bracket_single,
     close_ideal,
+    coadjoint_act,
     poisson_bracket_generator,
     positive_roots,
 )
@@ -456,3 +459,38 @@ def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
                 f"coadjoint action left a nonzero value on the ideal cell ({k},{t})"
             )
     return DualPoint(point.ideal, coords)
+
+
+def reference_check_invariance(records, ideal: RegularIdeal, trials: int,
+                               seed: int) -> CheckResult:
+    """The ``coadjoint_trials`` check through the public objects: per trial
+    ``GroupElement.random``, then ``DualPoint.random``, one
+    ``coadjoint_act`` and ``evaluate`` before and after for each record."""
+    rng = random.Random(seed)
+    witness = None
+    for trial in range(trials):
+        g = GroupElement.random(ideal.n, rng)
+        point = DualPoint.random(ideal, rng)
+        moved = coadjoint_act(g, point)
+        for record in records:
+            before = record.invariant.evaluate(point.coords)
+            after = record.invariant.evaluate(moved.coords)
+            if before != after:
+                witness = {
+                    "xi": list(record.xi),
+                    "trial": trial,
+                    "g": g.to_json(),
+                    "point": point.to_json(),
+                    "before": str(before),
+                    "after": str(after),
+                }
+                break
+        if witness:
+            break
+    return CheckResult(
+        name="coadjoint_trials",
+        status="fail" if witness else "pass",
+        trials=trials,
+        seed=seed,
+        witness=witness,
+    )

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from regfactor import cli
 from regfactor.cli import _COMMANDS, _FLAGS, build_parser, main
 
 
@@ -256,6 +260,23 @@ def test_unread_flag_rejected(problem, command, flag, value, capsys):
     code, out, err = run(capsys, command, problem, flag, value)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_reused_parser_carries_nothing(small_problem, capsys):
+    # main builds its parser once per process.  A flagged call, an unflagged
+    # one, an unrecognized flag and a valid call, in that order, must each
+    # print what a fresh process prints.
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv in (["verify", small_problem, "--seed", "5", "--trials", "3", "--format", "json"],
+                 ["verify", small_problem, "--format", "json"],
+                 ["verify", small_problem, "--max-size", "2"],
+                 ["verify", small_problem]):
+        fresh = subprocess.run([sys.executable, "-m", "regfactor.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._parser() is cli._parser()
 
 
 def test_unknown_subcommand(problem, capsys):

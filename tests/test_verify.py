@@ -12,6 +12,7 @@ import pytest
 from regfactor import verify
 from regfactor import (
     BudgetError,
+    Polynomial,
     ConstructionError,
     DualPoint,
     GroupElement,
@@ -35,6 +36,7 @@ from helpers import (
     n7_ideal,
     one_entry_columns,
     random_ideals,
+    reference_check_invariance,
     reference_coadjoint_act,
     reference_oracle,
     y,
@@ -197,11 +199,98 @@ def test_check_invariance_flags_non_invariant_probe():
     )
 
 
+def _trials_doc(records, ideal, trials, seed):
+    return check_invariance(records, ideal, trials=trials, seed=seed).checks[-1].to_json()
+
+
+def test_trial_kernel_matches_public_objects():
+    # The flat trial kernel against the same trials through GroupElement,
+    # DualPoint, coadjoint_act and evaluate, on every regular ideal with
+    # n <= 6.
+    for n in range(1, 7):
+        for k, ideal in enumerate(all_regular_ideals(n)):
+            records = all_invariants(ideal)
+            expected = reference_check_invariance(records, ideal, 100, k).to_json()
+            assert _trials_doc(records, ideal, 100, k) == expected, sorted(ideal.roots)
+
+
+@pytest.mark.slow
+def test_trial_kernel_matches_public_objects_n7():
+    for k, ideal in enumerate(all_regular_ideals(7)):
+        records = all_invariants(ideal)
+        expected = reference_check_invariance(records, ideal, 20, k).to_json()
+        assert _trials_doc(records, ideal, 20, k) == expected, sorted(ideal.roots)
+
+
+def test_trial_kernel_witness_matches_public_objects():
+    # One record replaced by a single free variable, each free variable in
+    # turn, on every ideal with n <= 5: the failing trial's index, g, point,
+    # before and after must be what the public objects give.
+    failures = 0
+    for n in range(1, 6):
+        for k, ideal in enumerate(all_regular_ideals(n)):
+            records = all_invariants(ideal)
+            for v, root in enumerate(ideal.free_roots()):
+                probe = list(records)
+                slot = v % len(probe)
+                probe[slot] = dataclasses.replace(
+                    probe[slot], invariant=Polynomial.variable(root))
+                expected = reference_check_invariance(probe, ideal, 100, k + v).to_json()
+                assert _trials_doc(probe, ideal, 100, k + v) == expected, (ideal.roots, root)
+                failures += expected["status"] == "fail"
+    assert failures == 110
+
+
+def test_check_invariance_guards_ideal_cells():
+    # The trials keep coadjoint_act's guard: on the hand-built ideal {(2,1)}
+    # at n=3, not closed, some move leaks onto the ideal cell.
+    ideal = object.__new__(RegularIdeal)
+    object.__setattr__(ideal, "n", 3)
+    object.__setattr__(ideal, "roots", frozenset({(2, 1)}))
+    for trials in (check_invariance, reference_check_invariance):
+        with pytest.raises(ConstructionError, match=r"ideal cell \(2,1\)$"):
+            trials([], ideal, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 2.0, "3", None])
+def test_counts_and_seeds_must_be_ints(value):
+    ideal = close_ideal(3, [])
+    records = all_invariants(ideal)
+    calls = [
+        (lambda v: check_invariance(records, ideal, trials=v), "trials"),
+        (lambda v: check_invariance(records, ideal, seed=v), "seed"),
+        (lambda v: skew_rank_stats(ideal, trials=v), "trials"),
+        (lambda v: skew_rank_stats(ideal, seed=v), "seed"),
+        (lambda v: full_report(ideal, trials=v), "trials"),
+        (lambda v: full_report(ideal, seed=v), "seed"),
+        (lambda v: full_report(ideal, max_degree=v), "max_degree"),
+        (lambda v: full_report(ideal, oracle_budget=v), "oracle_budget"),
+        (lambda v: oracle_invariants(ideal, v), "max_degree"),
+        (lambda v: oracle_invariants(ideal, 2, budget=v), "budget"),
+    ]
+    for call, name in calls:
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+
+def test_full_report_rejects_no_trials_before_any_check(monkeypatch):
+    import regfactor.verify as verify
+
+    monkeypatch.setattr(verify, "build_diagram", None)  # any work would fail
+    with pytest.raises(InputError, match="at least one trial"):
+        full_report(close_ideal(3, []), trials=0)
+
+
 def test_check_invariance_vacuous():
     ideal = close_ideal(2, [(2, 1)])
     assert check_invariance([], ideal, trials=1, seed=0).passed
     with pytest.raises(InputError):
         check_invariance([], ideal, trials=0, seed=0)
+    # A record on a variable of the ideal has no value at a point.
+    record = all_invariants(close_ideal(3, []))[0]
+    fake = dataclasses.replace(record, invariant=y(3, 1))
+    with pytest.raises(InputError):
+        check_invariance([fake], close_ideal(3, [(3, 1)]), trials=1, seed=0)
 
 
 def test_corrupted_coefficient_detected():

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
 Rank, nullspace and span membership all run on one fraction-free
-Gauss-Jordan elimination (Bareiss 1968) over the integers.  Entries must be
-``int`` or ``Fraction``; each row holding fractions is scaled to integers
-once on entry, which changes neither its span nor the kernel.
+elimination (Bareiss 1968) over the integers.  Nullspace and span
+membership take the full Gauss-Jordan reduction; rank runs only its forward
+pass, which clears the rows below each pivot and already counts the pivots.
+Entries must be ``int`` or ``Fraction``; each row holding fractions is
+scaled to integers once on entry, which changes neither its span nor the
+kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
     return out
 
 
-def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
+def _eliminate(m: list[list[int]], n_cols: int, reduce: bool = True) -> list[int]:
     """Reduce ``m`` in place and return its pivot columns.
 
     Every step replaces each other row by (pivot * row - factor * pivot row)
@@ -45,6 +48,11 @@ def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
     rows are the nonzero ones only, each signed so that every pivot entry
     equals the last pivot d, and the other pivot columns are zero: ``m`` is
     d times the reduced row echelon form.
+
+    With ``reduce`` false only the rows below each pivot are touched, the
+    forward pass: the pivot columns are the same, since the rows above a
+    pivot never take part in finding a later one, and ``m`` is left in
+    echelon form only, with rows and signs as the pass left them.
     """
     pivots: list[int] = []
     prev = 1
@@ -56,7 +64,8 @@ def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
         m[r], m[p] = m[p], m[r]
         top = m[r]
         pivot = top[c]
-        for i, row in enumerate(m):
+        for i in range(0 if reduce else r + 1, len(m)):
+            row = m[i]
             factor = row[c]
             if i == r:
                 continue
@@ -68,6 +77,8 @@ def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
         prev = pivot
         pivots.append(c)
     del m[len(pivots):]
+    if not reduce:
+        return pivots
     for r, c in enumerate(pivots):
         if m[r][c] != prev:
             m[r] = [-a for a in m[r]]
@@ -75,9 +86,10 @@ def _eliminate(m: list[list[int]], n_cols: int) -> list[int]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with int or Fraction entries."""
+    """Rank of a matrix with int or Fraction entries: the pivot count of the
+    forward elimination pass alone, with no clearing above the pivots."""
     n_cols = len(rows[0]) if rows else 0
-    return len(_eliminate(_integer_rows(rows, n_cols), n_cols))
+    return len(_eliminate(_integer_rows(rows, n_cols), n_cols, reduce=False))
 
 
 def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:

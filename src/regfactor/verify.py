@@ -390,36 +390,95 @@ def skew_rank_stats(
     The form on the roots outside the ideal sends a pair of basis roots to
     the value of their bracket at the point.  Sampling covers ``trials``
     random points plus the distinct-prime point.
+
+    Every form B_x has its nonzero entries on the cells of the bracket
+    table, so its rank is at most the term rank of that support
+    (Frobenius-König), and being skew-symmetric its rank is even.  The
+    points are drawn and ranked one at a time, the prime point first, then
+    ``DualPoint.random``'s draws from ``random.Random(seed)`` down the free
+    roots, and sampling stops once the best rank equals that term rank
+    rounded down to even.  No later point can exceed it, so the result is
+    the maximum over all ``trials + 1`` points all the same.
     """
     _require_int(trials=trials, seed=seed)
     if trials < 1:
         raise InputError("at least one trial is required")
-    basis = ideal.free_roots()
-    dim = len(basis)
+    dim = len(ideal.free_roots())
     if dim == 0:
         return SkewStats(0, 0)
-    table: list[tuple[int, int, int, Root]] = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            hit = bracket_single(basis[a], basis[b])
-            if hit is None:
-                continue
-            sign, root = hit
-            if root in ideal:
-                continue
-            table.append((a, b, sign, root))
+    table = _bracket_table(ideal)
+    bound = _rank_bound(table, dim)
     rng = random.Random(seed)
-    points = [DualPoint.prime_point(ideal)]
-    points.extend(DualPoint.random(ideal, rng) for _ in range(trials))
+    points = chain([_primes(dim)], (_draws(rng, dim) for _ in range(trials)))
     best = 0
-    for point in points:
-        rows = [[0] * dim for _ in range(dim)]
-        for a, b, sign, root in table:
-            value = sign * point.coords[root]
-            rows[a][b] = value
-            rows[b][a] = -value
-        best = max(best, linalg.rank(rows))
+    for x in points:
+        if best == bound:
+            break
+        best = max(best, linalg.rank(_skew_form(table, dim, x)))
     return SkewStats(best, dim - best)
+
+
+def _bracket_table(ideal: RegularIdeal) -> list[tuple[int, int, int, int]]:
+    """(a, b, sign, c) for each pair a < b of positions in
+    ``ideal.free_roots()`` whose bracket is sign times the free root at
+    position c."""
+    basis = ideal.free_roots()
+    position = {root: c for c, root in enumerate(basis)}
+    table = []
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            hit = bracket_single(basis[a], basis[b])
+            if hit is not None and hit[1] in position:
+                table.append((a, b, hit[0], position[hit[1]]))
+    return table
+
+
+def _skew_form(
+    table: list[tuple[int, int, int, int]], dim: int, x: Sequence[Scalar]
+) -> list[list[Scalar]]:
+    """The matrix of B_x, with x given by its values down the free roots."""
+    rows: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
+    for a, b, sign, c in table:
+        value = sign * x[c]
+        rows[a][b] = value
+        rows[b][a] = -value
+    return rows
+
+
+def _rank_bound(table: list[tuple[int, int, int, int]], dim: int) -> int:
+    """The term rank of the support of every B_x, rounded down to even.
+
+    The term rank is the size of a largest matching of rows to columns
+    through the support's cells, found by one augmenting-path search per
+    row (Kuhn 1955), kept on an explicit stack so that its depth is not
+    Python's recursion.
+    """
+    adjacent: list[list[int]] = [[] for _ in range(dim)]
+    for a, b, _, _ in table:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    owner = [-1] * dim
+    size = 0
+    for start in range(dim):
+        seen = [False] * dim
+        rows, cols, todo = [start], [], [iter(adjacent[start])]
+        while todo:
+            b = next((b for b in todo[-1] if not seen[b]), None)
+            if b is None:
+                # A dead end: drop the row and the column that led to it.
+                del rows[-1], todo[-1], cols[-1:]
+                continue
+            seen[b] = True
+            cols.append(b)
+            if owner[b] < 0:
+                # rows[k] takes cols[k], which rows[k + 1] held.
+                for a, c in zip(rows, cols):
+                    owner[c] = a
+                size += 1
+                break
+            rows.append(owner[b])
+            todo.append(iter(adjacent[owner[b]]))
+    return size // 2 * 2
 
 
 def _oracle_size(ideal: RegularIdeal, max_degree: int) -> int:

@@ -116,3 +116,39 @@ def test_kernel_matches_gauss_jordan_reference(matrix, target):
     assert in_span(rows, [target, combination]) == [
         len(gauss_jordan(rows + [target])[1]) == len(pivots), True
     ]
+
+
+_small_ints = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def skew_matrices(draw):
+    """Rank-deficient skew-symmetric integer matrices C·K·Cᵀ up to 20×20,
+    K skew of a smaller size, sometimes with extra rows holding fractions:
+    the shapes and sizes of verify's bracket forms and beyond."""
+    size = draw(st.integers(min_value=0, max_value=20))
+    inner = draw(st.integers(min_value=0, max_value=size))
+    c = draw(st.lists(st.lists(_small_ints, min_size=inner, max_size=inner),
+                      min_size=size, max_size=size))
+    k = [[0] * inner for _ in range(inner)]
+    for i in range(inner):
+        for j in range(i + 1, inner):
+            k[i][j] = draw(_small_ints)
+            k[j][i] = -k[i][j]
+    ck = [[sum(row[m] * k[m][j] for m in range(inner)) for j in range(inner)] for row in c]
+    rows = [[sum(a * b for a, b in zip(left, right)) for right in c] for left in ck]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if size else 0):
+        if rows and draw(st.booleans()):
+            # a rational combination of two rows keeps the rank
+            p = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([p * x + y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(_entries, min_size=size, max_size=size)))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_matrices())
+def test_rank_of_skew_matrices_matches_gauss_jordan_reference(rows):
+    assert rank(rows) == len(gauss_jordan(rows)[1])

@@ -5,11 +5,12 @@ import dataclasses
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from regfactor import verify
+from regfactor import linalg, verify
 from regfactor import (
     BudgetError,
     Polynomial,
@@ -30,6 +31,7 @@ from regfactor import (
 from helpers import (
     all_regular_ideals,
     assert_int_coefficients,
+    gauss_jordan,
     group_identity,
     group_inverse,
     group_product,
@@ -39,6 +41,8 @@ from helpers import (
     reference_check_invariance,
     reference_coadjoint_act,
     reference_oracle,
+    reference_skew_forms,
+    reference_skew_rank_stats,
     y,
 )
 
@@ -319,6 +323,94 @@ def test_skew_rank_matches_diagram_random():
         assert stats.max_rank + stats.corank == ideal.dim
         assert stats.max_rank == counts.plus_minus
         assert stats.corank == counts.crosses
+
+
+def test_skew_rank_matches_reference_up_to_n6():
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            for seed in range(3):
+                for trials in (1, 5, 20):
+                    assert skew_rank_stats(ideal, trials=trials, seed=seed) == (
+                        reference_skew_rank_stats(ideal, trials, seed)
+                    ), (sorted(ideal.roots), seed, trials)
+
+
+@pytest.mark.slow
+def test_skew_rank_matches_reference_n7():
+    for ideal in all_regular_ideals(7):
+        assert skew_rank_stats(ideal, trials=20, seed=0) == (
+            reference_skew_rank_stats(ideal, 20, 0)
+        ), sorted(ideal.roots)
+
+
+def test_skew_rank_of_every_ideal_pinned():
+    # sha256 over every regular ideal with n <= 7 in all_regular_ideals
+    # order of its "max_rank corank" line at verify's 20 trials, seed 0,
+    # pinned from the sampling that ranks every point
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for ideal in all_regular_ideals(n):
+            stats = skew_rank_stats(ideal, trials=20, seed=0)
+            digest.update(f"{stats.max_rank} {stats.corank}\n".encode())
+    assert digest.hexdigest() == (
+        "db80b58d25314259aaf83f59166507a4c45d6a1fec796a9a680531ff313b54c0"
+    )
+
+
+def test_skew_rank_bound_holds_up_to_n6():
+    rng = random.Random(61)
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            dim = len(ideal.free_roots())
+            table = verify._bracket_table(ideal)
+            bound = verify._rank_bound(table, dim)
+            assert bound % 2 == 0
+            for rows in reference_skew_forms(ideal, 20, 0):
+                assert len(gauss_jordan(rows)[1]) <= bound
+            # The term rank is the rank of the support filled with
+            # independent values: bound rounds it down to even.
+            generic = [[0] * dim for _ in range(dim)]
+            for a, b, _, _ in table:
+                generic[a][b] = rng.randint(1, 10**9)
+                generic[b][a] = rng.randint(1, 10**9)
+            assert bound == len(gauss_jordan(generic)[1]) // 2 * 2
+
+
+def _count_ranks(monkeypatch) -> list:
+    calls = []
+    rank = linalg.rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    return calls
+
+
+def test_skew_rank_stops_at_the_bound(monkeypatch):
+    calls = _count_ranks(monkeypatch)
+    assert skew_rank_stats(n7_ideal(), trials=20, seed=0) == (12, 5)
+    assert calls == [17]
+
+
+def test_skew_rank_falls_back_to_every_point(monkeypatch):
+    # Below (6,1) no point passes rank 10, under the bound 12 of a
+    # 14-dimensional form, so all 21 points are ranked.
+    ideal = close_ideal(6, [(6, 1)])
+    assert verify._rank_bound(verify._bracket_table(ideal), 14) == 12
+    calls = _count_ranks(monkeypatch)
+    assert skew_rank_stats(ideal, trials=20, seed=0) == (10, 4)
+    assert calls == [14] * 21
+    assert reference_skew_rank_stats(ideal, 20, 0) == (10, 4)
+
+
+def test_skew_rank_draws_points_one_at_a_time(monkeypatch):
+    calls = _count_ranks(monkeypatch)
+    start = time.process_time()
+    assert skew_rank_stats(n7_ideal(), trials=10**6, seed=0) == (12, 5)
+    assert time.process_time() - start < 1.0
+    assert calls == [17]
 
 
 def test_oracle_examples():

@@ -10,9 +10,11 @@ seed passes forever.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from math import comb
+from operator import add, mul, ne
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -31,25 +33,35 @@ from .roots import RegularIdeal, Root
 from .weyl import column_max_permutation, inversions, reflection_product
 
 _ENTRY_RANGE = (-9, 9)
+# _draws reads one draw from the top byte of each 32-bit word: the draw is
+# the byte's top bits, as many as the range's width has, plus the low end.
+_WIDTH = _ENTRY_RANGE[1] - _ENTRY_RANGE[0] + 1
+_SHIFT = 8 - _WIDTH.bit_length()
+_BYTE_DRAW = bytes(((b >> _SHIFT) + _ENTRY_RANGE[0]) & 0xFF for b in range(256))
+_BYTE_REJECTED = bytes(b for b in range(256) if b >> _SHIFT >= _WIDTH)
+# Trials that check_invariance runs together, one column entry each.
+_BLOCK = 128
 # Sampled points of the skew_rank check, besides the distinct-prime point.
 _RANK_TRIALS = 20
 
 
-def _draws(rng: random.Random, count: int) -> list[int]:
-    """``count`` successive ``rng.randint(*_ENTRY_RANGE)`` values, drawn as
-    randint draws them: ``getrandbits`` of the width's bit length, drawn
-    again while it reaches the width, plus the low end.  Same values and
-    the same generator state afterwards, without randint's per-call checks."""
-    lo, hi = _ENTRY_RANGE
-    width = hi - lo + 1
-    bits = width.bit_length()
-    draw = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = draw(bits)
-        while r >= width:
-            r = draw(bits)
-        out.append(r + lo)
+def _draws(rng: random.Random, count: int) -> array:
+    """``count`` successive ``rng.randint(*_ENTRY_RANGE)`` values, leaving the
+    generator in the state those calls leave.
+
+    randint(-9, 9) takes ``getrandbits(5)``, the top five bits of one 32-bit
+    Mersenne Twister word, takes another word while that is 19 or more, and
+    adds -9.  ``getrandbits(32 * k)`` is the next k words, least significant
+    first, so in its little-endian bytes every fourth byte, from the fourth,
+    is a word's top byte; a byte table maps it to its draw and deletes the
+    rejected ones.  Each round asks for as many words as values are still
+    missing, so no word past the last accepted one is read.
+    """
+    out = array("b")
+    while len(out) < count:
+        words = count - len(out)
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        out.frombytes(top.translate(_BYTE_DRAW, _BYTE_REJECTED))
     return out
 
 
@@ -124,7 +136,12 @@ class GroupElement:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "GroupElement":
-        """Entries below the diagonal drawn in row order."""
+        """Entries below the diagonal drawn in row order.  Raises InputError,
+        before drawing, unless ``n`` is an int (a bool is not one) and at
+        least 1."""
+        _require_int(n=n)
+        if n < 1:
+            raise InputError("n must be at least 1")
         return cls(_unitriangular(n, _draws(rng, n * (n - 1) // 2)))
 
     @property
@@ -148,53 +165,86 @@ def _unitriangular(n: int, below: Sequence) -> tuple[tuple, ...]:
 
 def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     """Conjugate the matrix view B by ``g`` and project back onto the strictly
-    upper pattern; the ideal-dual cells of the result must already vanish."""
+    upper pattern; the ideal-dual cells of the result must already vanish.
+
+    The move is ``_move_columns`` on one-element columns, the kernel that
+    ``check_invariance`` runs on a block of trials.
+    """
     n = point.ideal.n
     if g.n != n:
         raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
-    full = point.matrix()
-    _move(g.rows, full, point.ideal.roots)
+    full: list[list] = [[None] * n for _ in range(n)]
+    for (k, t), value in point.coords.items():
+        full[t - 1][k - 1] = [value]
+    _move_columns([[[v] for v in row[:i]] for i, row in enumerate(g.rows)], full)
+    _, root = _first_leak(full, point.ideal.roots, 1)
+    if root is not None:
+        raise _leak_error(root)
     coords = {}
     for (k, t) in point.ideal.free_roots():
-        coords[(k, t)] = full[t - 1][k - 1]
+        coords[(k, t)] = full[t - 1][k - 1][0]
     return DualPoint(point.ideal, coords)
 
 
-def _move(rows: Sequence[Sequence], full: list[list], ideal_roots) -> None:
-    """The coadjoint move of ``coadjoint_act`` in place on the matrix view
-    ``full``, with g given by ``rows``, of which only the entries below the
-    diagonal are read; raises ConstructionError if a cell of
-    ``ideal_roots`` ends nonzero.
+def _move_columns(g: Sequence[Sequence[Sequence]], full: list[list]) -> None:
+    """The coadjoint move of a block of trials, held as columns, in place.
+
+    ``full`` is the matrix view B with one column per cell, a list of that
+    cell's values across the trials, or None on a cell that is zero in every
+    trial by structure: one outside B's free cells that nothing has reached
+    yet.  ``g[i][m]``, for m < i, is the column of g's entry at row i,
+    column m.  Each update is one comprehension over the block, and a None
+    cell is skipped, so B's sparsity is read once per block.
 
     Only the strictly upper cells of g·B·g⁻¹ are computed, the ones the
     projection reads.  Row i of L = g·B there is the sum of g[i][m]·B[m]
     over m <= i, and F = L·g⁻¹ solves F·g = L: back-substitution from the
     last column, F[i][j] = L[i][j] - sum over k > j of F[i][k]·g[k][j],
     reads only upper cells.  No inverse of g is formed.  Row i starts from
-    B[i], since g[i][i] = 1, and zero coefficients add nothing.  Rows are
-    overwritten in place from the last one up: row i reads B[m] only for
-    m < i, and those rows are still untouched.
+    B[i], since g[i][i] = 1.  Rows are replaced from the last one up: row i
+    reads B[m] only for m < i, and those rows are still untouched.  Every
+    update builds a new list, so the columns passed in are never changed.
     """
     n = len(full)
     for i in range(n - 1, -1, -1):
-        f, gi = full[i], rows[i]
+        f, gi = full[i], g[i]
         for m in range(i):
-            c = gi[m]
-            if c:
-                bm = full[m]
-                for j in range(i + 1, n):
-                    f[j] += c * bm[j]
+            c, bm = gi[m], full[m]
+            for j in range(i + 1, n):
+                b = bm[j]
+                if b is not None:
+                    a = f[j]
+                    f[j] = ([u * v for u, v in zip(c, b)] if a is None
+                            else [s + u * v for s, u, v in zip(a, c, b)])
         for j in range(n - 1, i, -1):
             c = f[j]
-            if c:
-                gj = rows[j]
+            if c is not None:
+                gj = g[j]
                 for m in range(i + 1, j):
-                    f[m] -= c * gj[m]
-    for (k, t) in ideal_roots:
-        if full[t - 1][k - 1] != 0:
-            raise ConstructionError(
-                f"coadjoint action left a nonzero value on the ideal cell ({k},{t})"
-            )
+                    a = f[m]
+                    f[m] = ([-u * v for u, v in zip(c, gj[m])] if a is None
+                            else [s - u * v for s, u, v in zip(a, c, gj[m])])
+
+
+def _first_leak(full: list[list], roots, size: int) -> tuple[int, Optional[Root]]:
+    """The first trial of a block of ``size`` whose moved matrix view
+    ``full`` is nonzero on a cell of ``roots``, and the first such root in
+    ``roots`` order at that trial; (``size``, None) when there is none."""
+    trial, found = size, None
+    for root in roots:
+        column = full[root[1] - 1][root[0] - 1]
+        if column is not None:
+            t = next((t for t, v in enumerate(column) if v), size)
+            if t < trial:
+                trial, found = t, root
+    return trial, found
+
+
+def _leak_error(root: Root) -> ConstructionError:
+    """The error of a move that leaves ``root``'s ideal cell nonzero."""
+    return ConstructionError(
+        f"coadjoint action left a nonzero value on the ideal cell ({root[0]},{root[1]})"
+    )
 
 
 @dataclass(frozen=True)
@@ -265,17 +315,26 @@ def check_invariance(
     First all subdiagonal generator brackets must reduce to zero; then the
     value must be constant under ``trials`` seeded coadjoint moves.
 
-    The trials run on flat integer lists in ``ideal.free_roots()`` order.
-    Each record is compiled once into (coefficient, variable positions)
-    terms.  Each trial makes one ``_draws`` call, the same ``randint(-9,
-    9)`` stream ``GroupElement.random`` then ``DualPoint.random`` read: the
-    entries of g below the diagonal row by row, then the point down the free
-    roots.  The point goes into the matrix view through precomputed cells,
-    ``_move`` (the body of ``coadjoint_act``, ideal-cell guard included)
-    moves it, and the moved values are read back from the same cells.  Only
-    a failing trial builds the ``GroupElement``, ``DualPoint`` and
-    ``coadjoint_act`` objects, and its before and after values come from
-    ``Polynomial.evaluate``, so the witness is what the public API
+    The trials run ``_BLOCK`` at a time, held as columns: one list per
+    matrix cell or point coordinate, one entry per trial of the block, in
+    ``ideal.free_roots()`` order.  Each record is compiled once into
+    (coefficient, variable positions) terms and evaluated on the columns.
+    Each block makes one ``_draws`` call from the one ``random.Random(seed)``,
+    which reads whole generator words and gives the values and the final
+    state of the same ``randint(-9, 9)`` calls that ``GroupElement.random``
+    then ``DualPoint.random`` make per trial: the entries of g below the
+    diagonal row by row, then the point down the free roots.  Each entry of
+    g and each coordinate of the point is then one stride slice of the
+    draws.
+    ``_move_columns``, the kernel of ``coadjoint_act``, moves the block.
+
+    The check fails at the first trial that leaks onto an ideal cell (a
+    ConstructionError naming the first such cell in ``ideal.roots`` order)
+    or changes a record's value (the first such record), the guard first
+    when both happen at one trial: the order of running the trials one by
+    one.  Only a failing trial builds the ``GroupElement``, ``DualPoint``
+    and ``coadjoint_act`` objects, and its before and after values come
+    from ``Polynomial.evaluate``, so the witness is what the public API
     reproduces from the seed.
     """
     _require_int(trials=trials, seed=seed)
@@ -311,33 +370,43 @@ def check_invariance(
     compiled = [_compile(record.invariant, position) for record in records]
     cells = [(t - 1, k - 1) for (k, t) in free]
     below = n * (n - 1) // 2
-    starts = [(i, i * (i - 1) // 2) for i in range(n)]
+    per_trial = below + len(free)
     rng = random.Random(seed)
     witness = None
-    for trial in range(trials):
-        drawn = _draws(rng, below + len(free))
-        x = drawn[below:]
-        full = [[0] * n for _ in range(n)]
-        for (r, c), v in zip(cells, x):
-            full[r][c] = v
-        _move([drawn[s:s + i] for i, s in starts], full, ideal.roots)
+    for first in range(0, trials, _BLOCK):
+        size = min(_BLOCK, trials - first)
+        vals = _draws(rng, size * per_trial)
+        x = [vals[below + q::per_trial] for q in range(len(free))]
+        full: list[list] = [[None] * n for _ in range(n)]
+        for (r, c), column in zip(cells, x):
+            full[r][c] = column
+        g = [[vals[i * (i - 1) // 2 + m::per_trial] for m in range(i)] for i in range(n)]
+        _move_columns(g, full)
         moved = [full[r][c] for r, c in cells]
+        trial, root = _first_leak(full, ideal.roots, size)
+        culprit = None
         for record, terms in zip(records, compiled):
-            if _value(terms, x) != _value(terms, moved):
-                g = GroupElement(_unitriangular(n, drawn[:below]))
-                point = DualPoint(ideal, dict(zip(free, x)))
-                before = record.invariant.evaluate(point.coords)
-                after = record.invariant.evaluate(coadjoint_act(g, point).coords)
-                witness = {
-                    "xi": list(record.xi),
-                    "trial": trial,
-                    "g": g.to_json(),
-                    "point": point.to_json(),
-                    "before": str(before),
-                    "after": str(after),
-                }
-                break
-        if witness:
+            before, after = _values(terms, x, size), _values(terms, moved, size)
+            if before != after:
+                t = list(map(ne, before, after)).index(True)
+                if t < trial:
+                    trial, root, culprit = t, None, record
+        if root is not None:
+            raise _leak_error(root)
+        if culprit is not None:
+            at = trial * per_trial
+            element = GroupElement(_unitriangular(n, vals[at:at + below]))
+            point = DualPoint(ideal, dict(zip(free, vals[at + below:at + per_trial])))
+            before = culprit.invariant.evaluate(point.coords)
+            after = culprit.invariant.evaluate(coadjoint_act(element, point).coords)
+            witness = {
+                "xi": list(culprit.xi),
+                "trial": first + trial,
+                "g": element.to_json(),
+                "point": point.to_json(),
+                "before": str(before),
+                "after": str(after),
+            }
             break
     report.checks.append(
         CheckResult(
@@ -367,13 +436,17 @@ def _compile(
     return terms
 
 
-def _value(terms: list[tuple[Scalar, tuple[int, ...]]], x: list[int]) -> Scalar:
-    """The value of compiled ``terms`` at the point ``x``."""
-    total = 0
-    for value, spots in terms:
+def _values(
+    terms: list[tuple[Scalar, tuple[int, ...]]], columns: Sequence[Sequence], size: int
+) -> list[Scalar]:
+    """The values of compiled ``terms`` at each of ``size`` points, given by
+    one column per coordinate."""
+    total: list[Scalar] = [0] * size
+    for coef, spots in terms:
+        term = repeat(coef, size)
         for p in spots:
-            value *= x[p]
-        total += value
+            term = map(mul, term, columns[p])
+        total = list(map(add, total, term))
     return total
 
 

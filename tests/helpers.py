@@ -493,16 +493,18 @@ def reference_skew_rank_stats(ideal: RegularIdeal, trials: int, seed: int) -> tu
 
 
 def reference_check_invariance(records, ideal: RegularIdeal, trials: int,
-                               seed: int) -> CheckResult:
+                               seed: int, act=coadjoint_act) -> CheckResult:
     """The ``coadjoint_trials`` check through the public objects: per trial
-    ``GroupElement.random``, then ``DualPoint.random``, one
-    ``coadjoint_act`` and ``evaluate`` before and after for each record."""
+    ``GroupElement.random``, then ``DualPoint.random``, one move by ``act``
+    (``coadjoint_act``, or ``reference_coadjoint_act`` for one built apart
+    from the library's kernel) and ``evaluate`` before and after for each
+    record."""
     rng = random.Random(seed)
     witness = None
     for trial in range(trials):
         g = GroupElement.random(ideal.n, rng)
         point = DualPoint.random(ideal, rng)
-        moved = coadjoint_act(g, point)
+        moved = act(g, point)
         for record in records:
             before = record.invariant.evaluate(point.coords)
             after = record.invariant.evaluate(moved.coords)

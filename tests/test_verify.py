@@ -7,6 +7,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from regfactor import (
     coadjoint_act,
     full_report,
     oracle_invariants,
+    poisson_bracket_generator,
     positive_roots,
     skew_rank_stats,
 )
@@ -122,6 +124,24 @@ def test_random_draws_follow_the_randint_stream():
             assert g.rows == tuple(map(tuple, rows))
             assert point.coords == {r: plain.randint(-9, 9) for r in ideal.free_roots()}
             assert rng.getstate() == plain.getstate()
+    # _draws itself, which reads whole 32-bit words and asks for exactly the
+    # values still missing: the same values and the same generator state.
+    for seed in range(200):
+        rng, plain = random.Random(seed), random.Random(seed)
+        for count in (0, 1, 2, 19, 1000, 10000):
+            drawn = verify._draws(rng, count)
+            assert list(drawn) == [plain.randint(-9, 9) for _ in range(count)]
+            assert rng.getstate() == plain.getstate()
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, False, 2.5, 3.0, "3", None])
+def test_random_group_element_needs_a_positive_int(n):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="^n must be"):
+        GroupElement.random(n, rng)
+    assert rng.getstate() == state  # nothing drawn
+    assert GroupElement.random(1, rng).rows == ((1,),)
 
 
 def test_coadjoint_act_matches_dense_reference():
@@ -151,12 +171,19 @@ def test_coadjoint_act_matches_dense_reference():
     assert any(type(v) is Fraction and v.denominator > 1 for v in moved.coords.values())
 
 
-def test_coadjoint_act_guards_ideal_cells():
-    # {(2,1)} at n=3 is not closed, since (3,1) is missing; built by hand
-    # past the closure check, so the action leaks onto its ideal cell.
+def _unclosed_ideal(n: int, roots) -> RegularIdeal:
+    # Built by hand past the closure check, so some moves leak onto its
+    # ideal cells.
     ideal = object.__new__(RegularIdeal)
-    object.__setattr__(ideal, "n", 3)
-    object.__setattr__(ideal, "roots", frozenset({(2, 1)}))
+    object.__setattr__(ideal, "n", n)
+    object.__setattr__(ideal, "roots", frozenset(roots))
+    return ideal
+
+
+def test_coadjoint_act_guards_ideal_cells():
+    # {(2,1)} at n=3 is not closed, since (3,1) is missing, so the action
+    # leaks onto its ideal cell.
+    ideal = _unclosed_ideal(3, {(2, 1)})
     point = DualPoint(ideal, {(3, 1): 1, (3, 2): 1})
     g = GroupElement(((1, 0, 0), (0, 1, 0), (0, 1, 1)))
     for act in (coadjoint_act, reference_coadjoint_act):
@@ -245,12 +272,94 @@ def test_trial_kernel_witness_matches_public_objects():
     assert failures == 110
 
 
+def test_trial_blocks_match_public_objects(monkeypatch):
+    # Blocks of 3 trials: both comparisons above at trial counts that end
+    # inside, at and just past a block's end, and over many blocks.  A
+    # single-variable probe almost always fails in the first block, so each
+    # ideal with n <= 6 also gets probes y[r] times every coordinate the
+    # action fixes; such a probe changes only where none of those is zero,
+    # and some fail first past the first block.
+    monkeypatch.setattr(verify, "_BLOCK", 3)
+    late = 0
+    for n in range(1, 7):
+        for k, ideal in enumerate(all_regular_ideals(n)):
+            records = all_invariants(ideal)
+            free = ideal.free_roots()
+            fixed = [r for r in free if all(
+                poisson_bracket_generator(i, y(*r), ideal).is_zero for i in range(1, n))]
+            probes = []
+            for v, root in enumerate(free):
+                if n <= 5:
+                    probe = list(records)
+                    slot = v % len(probe)
+                    probe[slot] = dataclasses.replace(
+                        probe[slot], invariant=Polynomial.variable(root))
+                    probes.append((probe, k + v))
+                if fixed and root not in fixed:
+                    center = prod(map(Polynomial.variable, fixed), start=y(*root))
+                    probes.append(([dataclasses.replace(records[0], invariant=center)], k + v))
+            for trials in (1, 3, 4, 100):
+                for probe, seed in [(records, k)] + probes:
+                    expected = reference_check_invariance(probe, ideal, trials, seed).to_json()
+                    assert _trials_doc(probe, ideal, trials, seed) == expected, (ideal.roots, seed)
+                    late += expected.get("witness", {}).get("trial", 0) >= 3
+    assert late > 0  # some witness lies past the first block
+
+
+def test_trial_failure_order_matches_public_objects(monkeypatch):
+    # Non-invariant probes on unclosed ideals ({(2,1)} at n=3 lacks (3,1)):
+    # the first failing trial is a leak onto an ideal cell (raised, naming
+    # the first leaking cell in ideal.roots order) or a changed value
+    # (witness), the leak first at one trial, as when the trials run one by
+    # one.
+    monkeypatch.setattr(verify, "_BLOCK", 3)
+    record = all_invariants(close_ideal(3, []))[0]
+    probes = [dataclasses.replace(record, invariant=y(3, 2))]
+
+    def outcome(trials_of, seed):
+        try:
+            return trials_of(seed).to_json()
+        except ConstructionError as exc:
+            return str(exc)
+
+    seen = set()
+    for ideal in (_unclosed_ideal(3, {(2, 1)}), _unclosed_ideal(4, {(2, 1), (4, 3)})):
+        for seed in range(40):
+            for trials in (1, 3, 4, 10):
+                got = outcome(
+                    lambda s: check_invariance(probes, ideal, trials, s).checks[-1], seed)
+                assert got == outcome(lambda s: reference_check_invariance(
+                    probes, ideal, trials, s, act=reference_coadjoint_act), seed), seed
+                seen.add(got if isinstance(got, str) else "witness")
+    # Both kinds of failure come first somewhere, and both cells are named.
+    assert seen == {"witness", *(
+        f"coadjoint action left a nonzero value on the ideal cell {cell}"
+        for cell in ("(2,1)", "(4,3)"))}
+
+
+@pytest.mark.slow
+def test_long_trial_runs_keep_memory_bounded():
+    # The trials run in blocks of verify._BLOCK = 128, so memory does not
+    # grow with the trial count.  On the n=7 reference at 20,000 trials the
+    # traced peak was 0.13 MB; with all 20,000 trials in one block it was
+    # 11.6 MB (Python 3.11).
+    import tracemalloc
+
+    ideal = n7_ideal()
+    records = all_invariants(ideal)
+    tracemalloc.start()
+    try:
+        assert check_invariance(records, ideal, trials=20000, seed=1).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_check_invariance_guards_ideal_cells():
     # The trials keep coadjoint_act's guard: on the hand-built ideal {(2,1)}
     # at n=3, not closed, some move leaks onto the ideal cell.
-    ideal = object.__new__(RegularIdeal)
-    object.__setattr__(ideal, "n", 3)
-    object.__setattr__(ideal, "roots", frozenset({(2, 1)}))
+    ideal = _unclosed_ideal(3, {(2, 1)})
     for trials in (check_invariance, reference_check_invariance):
         with pytest.raises(ConstructionError, match=r"ideal cell \(2,1\)$"):
             trials([], ideal, trials=10, seed=0)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, repeat
 from math import comb
-from operator import add, mul, ne
+from operator import add, and_, mul, ne
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -102,13 +103,6 @@ class DualPoint:
         """The structured generic point: distinct primes down the root order."""
         free = ideal.free_roots()
         return cls(ideal, dict(zip(free, _primes(len(free)))))
-
-    def matrix(self) -> list[list]:
-        n = self.ideal.n
-        rows = [[0] * n for _ in range(n)]
-        for (k, t), value in self.coords.items():
-            rows[t - 1][k - 1] = value
-        return rows
 
     def to_json(self) -> dict:
         return {
@@ -578,21 +572,24 @@ def oracle_invariants(
 
     Nearly every coefficient is settled before any elimination.  An
     equation with one nonzero term forces that monomial's coefficient to
-    zero in every kernel vector.  The first round of these is found from
-    support bitmasks while the monomials are enumerated, before any
-    equation is built.  Generator i moves a variable b onto at most one
+    zero in every kernel vector.  The first round of these reads only a
+    monomial's support, so it is settled on supports before any monomial
+    or equation is built.  Generator i moves a variable b onto at most one
     variable r, and no two variables onto the same r, so the equation of an
     image has one term per distinct i-target (a variable some b moves onto
     under i) it holds.  The image m/b*r of a monomial m is then alone in its
     equation exactly when supp(m/b) holds no i-target but r.  b is never an
     i-target itself (targets of (i+1,i) lie in row i+1 or column i, b in row
-    i or column i+1), so m is forced when ``supp(m) & targets[i] & ~bit(r)``
-    is zero for one of its moves.  On the n=7 reference at degree 4 this
-    leaves 388 of 5984 monomials, and only those build equations.  A
-    worklist settles the later rounds: a forced column leaves every equation
-    it is in, and one left with one term forces that column in turn.  It
-    reaches the same forced set as from the full system, whose first round
-    is the one-term rows.
+    i or column i+1), so m is forced when its support misses the guard
+    ``targets[i] & ~bit(r)`` of one of its moves.  ``_oracle_columns``
+    walks the supports and expands into monomials only those that meet
+    every guard of their variables.  On the n=7 reference at degree 4 the
+    walk visits 292 of the 3213 supports of at most 4 of the 17 variables
+    and keeps 204, which expand to 388 of the 5984 monomials; only those
+    build equations.  A worklist settles the later rounds: a forced column
+    leaves every equation it is in, and one left with one term forces that
+    column in turn.  It reaches the same forced set as from the full
+    system, whose first round is the one-term rows.
 
     Only the kept columns become ``Monomial`` tuples, and only the remaining
     equations, on the kept columns in the library's monomial order (fewest
@@ -682,15 +679,27 @@ def _oracle_columns(
 ) -> tuple[list[list[tuple[int, int, int, int]]], dict[int, list]]:
     """The oracle's bracket moves per variable, and its monomials of degree
     1..``max_degree`` grouped by weight code, less the first round of forced
-    monomials (those with an image alone in its equation)."""
+    monomials (those with an image alone in its equation).
+
+    Whether a monomial is forced depends on its support alone: it is kept
+    when its support meets every guard of every variable in it.  So the
+    walk is over supports, ascending sets of at most ``max_degree``
+    variable positions, depth first, carrying the guards of the chosen
+    variables that the support does not meet yet.  Later variables are
+    higher, so a branch is cut when an unmet guard has no bit above the
+    last chosen variable, or when the last slot is used and a guard is
+    still unmet.  Only a kept support is expanded, into one monomial per
+    exponent vector (each exponent at least 1, total at most
+    ``max_degree``).  Members of a group come in no set order.
+    """
     n = ideal.n
     variables = ideal.free_roots()
     # Until the kept columns are known, a monomial is its combo (its
-    # variables' positions, nondecreasing, one per copy), two integer codes
-    # and its support bitmask.  The position code is the sum of base**k
-    # over the combo, with base = max_degree + 1; exponents stay below base,
-    # so the code is one-to-one, and moving one copy of variable k to
-    # variable r adds base**r - base**k.  The weight code is the sum of
+    # variables' positions, nondecreasing, one per copy) and two integer
+    # codes.  The position code is the sum of base**k over the combo, with
+    # base = max_degree + 1; exponents stay below base, so the code is
+    # one-to-one, and moving one copy of variable k to variable r adds
+    # base**r - base**k.  The weight code is the sum of
     # big**(i-1) - big**(j-1) over the variables (i,j), with
     # big = 2 * max_degree + 1; every torus weight coordinate lies in
     # [-max_degree, max_degree], so equal codes mean equal weights.
@@ -715,25 +724,45 @@ def _oracle_columns(
                 moves[k].append((hit[0], (power[r] - power[k]) * n + i, i, r))
                 targets[i] |= 1 << r
     guards = [[targets[i] & ~(1 << r) for _, _, i, r in mk] for mk in moves]
-    # A monomial m whose support holds none of the targets a guard names is
-    # forced: its image under that move is alone in its equation.
     big = 2 * max_degree + 1
     torus = [big ** (i - 1) - big ** (j - 1) for i, j in variables]
+    # patterns[s] holds, per exponent vector of a support of s variables
+    # (each exponent at least 1, their total at most max_degree), the
+    # nondecreasing slots in the support of the monomial's copies.
+    patterns: list[list[tuple[int, ...]]] = [[()]]
+    for s in range(min(max_degree, len(variables))):
+        patterns.append([p + (s,) * x for p in patterns[-1]
+                         for x in range(1, max_degree - len(p) + 1)])
     groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    layer = [((k,), power[k], torus[k], 1 << k) for k in range(len(variables))]
-    for degree in range(1, max_degree + 1):
-        for combo, code, weight, supp in layer:
-            if all(supp & g for k in combo for g in guards[k]):
+    # Each entry is a support, its bitmask, and the guards of its
+    # variables that it does not meet.
+    stack: list[tuple[tuple[int, ...], int, list[int]]] = [((), 0, [])]
+    while stack:
+        support, supp, unmet = stack.pop()
+        if support and not unmet:
+            for pattern in patterns[len(support)]:
+                combo = tuple([support[s] for s in pattern])
+                code = weight = 0
+                for k in combo:
+                    code += power[k]
+                    weight += torus[k]
                 groups.setdefault(weight, []).append((combo, code))
-        if degree < max_degree:
-            layer = (
-                (combo + (k,), code + power[k], weight + torus[k], supp | 1 << k)
-                for combo, code, weight, supp in layer
-                for k in range(combo[-1], len(variables))
-            )
-            # The top layer, the largest, is read once and never held whole.
-            if degree + 1 < max_degree:
-                layer = list(layer)
+        if len(support) == max_degree:
+            continue
+        last = len(support) + 1 == max_degree
+        # The cut on the unmet guards, before any child is built: the next
+        # variable lies at or below every top bit, and in the last slot it
+        # must meet every one of them.
+        stop = min(unmet).bit_length() if unmet else len(variables)
+        common = reduce(and_, unmet, -1) if last else -1
+        for v in range(support[-1] + 1 if support else 0, stop):
+            if not common >> v & 1:
+                continue
+            bit = 1 << v
+            left = [g for g in unmet if not g & bit]
+            left += [g for g in guards[v] if not g & (supp | bit)]
+            if not left or not last and min(left) >> v + 1:
+                stack.append((support + (v,), supp | bit, left))
     return moves, groups
 
 
@@ -746,6 +775,64 @@ def _monomial(roots: Sequence[Root]) -> Monomial:
         else:
             mono.append((root, 1))
     return tuple(mono)
+
+
+def _inside_by_weight(
+    basis: Sequence[Polynomial], polys: Sequence[Polynomial], n: int
+) -> list[bool]:
+    """Whether each of ``polys`` lies in the rational span of ``basis``,
+    tested one torus-weight block at a time.
+
+    A block joins the torus weights of the monomials of each basis element
+    (an element of the oracle's basis has one weight; a mixed one joins
+    its weights into one block).  Blocks hold disjoint monomials, so the
+    span is the direct sum of the blocks' spans, and a polynomial is inside
+    exactly when its part in every block is inside that block's span; a
+    part of a weight no basis element holds is not.  Each block makes one
+    ``linalg.in_span`` call on its own basis elements and parts.
+    """
+    def weight(mono: Monomial) -> tuple[int, ...]:
+        w = [0] * n
+        for (i, j), e in mono:
+            w[i - 1] += e
+            w[j - 1] -= e
+        return tuple(w)
+
+    # Union-find over weights: a block is named by its root weight.
+    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def find(w: tuple[int, ...]) -> tuple[int, ...]:
+        while parent.setdefault(w, w) != w:
+            w = parent[w]
+        return w
+
+    tops = []
+    for p in basis:
+        top, *rest = [find(weight(m)) for m in p.terms]
+        for r in rest:
+            parent[r] = top
+        tops.append(top)
+    # Each block's basis elements, and its parts of polys by position.
+    rows: dict[tuple[int, ...], tuple[list, dict]] = {}
+    for p, top in zip(basis, tops):
+        rows.setdefault(find(top), ([], {}))[0].append(p.terms)
+    inside = [True] * len(polys)
+    for t, p in enumerate(polys):
+        for m, c in p.terms.items():
+            w = weight(m)
+            if w not in parent:
+                inside[t] = False
+                break
+            rows[find(w)][1].setdefault(t, {})[m] = c
+    for vectors, parts in rows.values():
+        if parts:
+            terms = vectors + list(parts.values())
+            monos = list(dict.fromkeys(chain.from_iterable(terms)))
+            dense = [[row.get(m, 0) for m in monos] for row in terms]
+            answers = linalg.in_span(dense[:len(vectors)], dense[len(vectors):])
+            for t, ok in zip(parts, answers):
+                inside[t] &= ok
+    return inside
 
 
 def full_report(
@@ -901,16 +988,7 @@ def full_report(
             if not low:
                 return "no low-degree invariants"
             basis = oracle_invariants(ideal, max_degree, budget=oracle_budget)
-            polys = basis + [r.invariant for r in low]
-            index: dict[Monomial, int] = {}
-            for p in polys:
-                for m in p.terms:
-                    index.setdefault(m, len(index))
-            rows = [[0] * len(index) for _ in polys]
-            for row, p in zip(rows, polys):
-                for m, c in p.terms.items():
-                    row[index[m]] = c
-            inside = linalg.in_span(rows[: len(basis)], rows[len(basis):])
+            inside = _inside_by_weight(basis, [r.invariant for r in low], n)
             for record, ok in zip(low, inside):
                 if not ok:
                     raise ConstructionError(

@@ -435,13 +435,23 @@ def one_entry_columns(ideal: RegularIdeal, max_degree: int) -> tuple[set, set]:
     return monos, forced
 
 
+def dual_matrix(point: DualPoint) -> list[list]:
+    """The matrix view of ``point``: the value of root (k,t) at row t,
+    column k, and zeros elsewhere, the ideal-dual cells included."""
+    n = point.ideal.n
+    rows = [[0] * n for _ in range(n)]
+    for (k, t), value in point.coords.items():
+        rows[t - 1][k - 1] = value
+    return rows
+
+
 def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     """The coadjoint move the dense way: both products g·B and (g·B)·g⁻¹ in
     full, with an explicit inverse, then the same projection and guard."""
     n = point.ideal.n
     if g.n != n:
         raise InputError(f"size mismatch: group element is {g.n}, point is {n}")
-    b = point.matrix()
+    b = dual_matrix(point)
     ginv = group_inverse(g).rows
     left = [
         [sum(g.rows[i][k] * b[k][j] for k in range(i + 1)) for j in range(n)]

@@ -33,10 +33,12 @@ from regfactor import (
 from helpers import (
     all_regular_ideals,
     assert_int_coefficients,
+    dual_matrix,
     gauss_jordan,
     group_identity,
     group_inverse,
     group_product,
+    in_poly_span,
     n7_ideal,
     one_entry_columns,
     random_ideals,
@@ -200,7 +202,7 @@ def test_dual_point_validation():
     with pytest.raises(InputError):
         DualPoint(ideal, values)
     point = DualPoint.prime_point(ideal)
-    matrix = point.matrix()
+    matrix = dual_matrix(point)
     assert matrix[0][3] == point.coords[(4, 1)]  # row t=1, column k=4
     assert matrix[0][4] == 0  # (5,1) is an ideal cell
     assert all(matrix[i][j] == 0 for i in range(7) for j in range(i + 1))
@@ -613,10 +615,17 @@ def test_full_reports_of_every_n6_ideal_pinned():
     )
 
 
+@pytest.mark.slow
+def test_full_reports_of_every_n7_ideal_pass():
+    for ideal in all_regular_ideals(7):
+        report = full_report(ideal)
+        assert report.passed, (sorted(ideal.roots), report.lines())
+
+
 def test_oracle_first_round_is_the_one_entry_equations():
-    # The support-mask rule keeps exactly the monomials that no one-entry
+    # The support walk keeps exactly the monomials that no one-entry
     # equation forces, and only those build equations.
-    cases = [(ideal, 3) for n in range(1, 6) for ideal in all_regular_ideals(n)]
+    cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
     for ideal, degree in cases + [(n7_ideal(), 4)]:
         variables = ideal.free_roots()
         _, groups = verify._oracle_columns(ideal, degree)
@@ -654,6 +663,36 @@ def test_invariant_in_span(monkeypatch):
     outside = ("fail", "invariant of (3, 1) is outside the oracle kernel")
     assert outcome([y(2, 1), y(3, 2)]) == outside
     assert outcome([]) == outside
+
+
+def test_block_containment_matches_one_global_in_span():
+    # The real records, and sums of neighbouring ones, which span two
+    # weights, against degree-3 bases of every ideal with n <= 6.
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            basis = oracle_invariants(ideal, 3)
+            polys = [r.invariant for r in all_invariants(ideal)]
+            polys += [a + b for a, b in zip(polys, polys[1:])]
+            expected = in_poly_span(basis, polys)
+            assert verify._inside_by_weight(basis, polys, n) == expected, sorted(ideal.roots)
+
+
+def test_block_containment_constructed_cases():
+    # y[3,1], y[2,1] and y[3,2] have three different torus weights.
+    def both(basis, polys):
+        found = verify._inside_by_weight(basis, polys, 3)
+        assert found == in_poly_span(basis, polys)
+        return found
+
+    # A record split over two weights, one part outside: it fails.
+    assert both([y(3, 1)], [y(3, 1) + y(2, 1), y(3, 1) + y(3, 2)]) == [False, False]
+    assert both([y(3, 1), 2 * y(2, 1)], [y(3, 1) + y(2, 1), 3 * y(3, 1)]) == [True, True]
+    # A basis element that joins two weights.
+    joined = [y(3, 1) + y(2, 1)]
+    assert both(joined, [2 * y(3, 1) + 2 * y(2, 1), y(3, 1), y(2, 1)]) == [
+        True, False, False]
+    assert both(joined + [y(3, 2)], [y(3, 1) + y(2, 1) - y(3, 2), y(3, 2)]) == [True, True]
+    assert both([], [y(3, 1)]) == [False]
 
 
 def test_full_report_reference_passes():

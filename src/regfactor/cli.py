@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from .diagram import build_diagram
-from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
 from .invariants import all_invariants
 from .minors import characteristic_matrix, enumerate_extremal, minor_degree
 from .roots import RegularIdeal, close_ideal
@@ -47,7 +47,8 @@ def load_problem(path: str, strict: bool = False) -> RegularIdeal:
     if "n" not in doc or "ideal_generators" not in doc:
         raise InputError('problem file needs "n" and "ideal_generators"')
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    require_ints((n,), '"n" must be a positive integer, got {!r}', n)
+    if n < 1:
         raise InputError(f'"n" must be a positive integer, got {n!r}')
     generators = doc["ideal_generators"]
     if not isinstance(generators, list):

@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and the default work budget."""
+"""Exception types, the default work budget, and the one rule for numbers."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 # The budget of every budgeted call (oracle monomials, extremal-scan specs)
 # and of the CLI's --budget flag.
 DEFAULT_BUDGET = 100000
+
+_INT = frozenset({int})
 
 
 class RegFactorError(Exception):
@@ -33,3 +37,10 @@ class BudgetError(RegFactorError):
         super().__init__(message)
         self.partial = [] if partial is None else partial
         self.valid = False
+
+
+def require_ints(values: Iterable, message: str, *args) -> None:
+    """Raise InputError(``message.format(*args)``) unless every one of
+    ``values`` is an ``int``; a bool, a float or a rational is not one."""
+    if not set(map(type, values)) <= _INT:
+        raise InputError(message.format(*args))

@@ -1,39 +1,27 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer matrices.
 
 Rank, nullspace and span membership all run on one fraction-free
 elimination (Bareiss 1968) over the integers.  Nullspace and span
 membership take the full Gauss-Jordan reduction; rank runs only its forward
 pass, which clears the rows below each pivot and already counts the pivots.
-Entries must be ``int`` or ``Fraction``; each row holding fractions is
-scaled to integers once on entry, which changes neither its span nor the
-kernel.
+Entries must be ``int``; any other type raises InputError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd
 from typing import Sequence
 
-from .errors import InputError
-
-# The exact number types; a bool or a float is neither.
-EXACT_TYPES = frozenset({int, Fraction})
+from .errors import InputError, require_ints
 
 
 def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
-    out = []
-    for row in rows:
-        row = list(row)
+    out = [list(row) for row in rows]
+    for row in out:
         if len(row) != n_cols:
             raise InputError(f"row of length {len(row)} in a matrix of {n_cols} columns")
-        kinds = set(map(type, row))
-        if not kinds <= {int}:
-            if not kinds <= EXACT_TYPES:
-                raise InputError("matrix entries must be int or Fraction")
-            scale = lcm(*(Fraction(x).denominator for x in row))
-            row = [int(x * scale) for x in row]
-        out.append(row)
+    require_ints(chain.from_iterable(out), "matrix entries must be integers")
     return out
 
 
@@ -86,8 +74,8 @@ def _eliminate(m: list[list[int]], n_cols: int, reduce: bool = True) -> list[int
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with int or Fraction entries: the pivot count of the
-    forward elimination pass alone, with no clearing above the pivots."""
+    """Rank of an integer matrix: the pivot count of the forward elimination
+    pass alone, with no clearing above the pivots."""
     n_cols = len(rows[0]) if rows else 0
     return len(_eliminate(_integer_rows(rows, n_cols), n_cols, reduce=False))
 
@@ -100,6 +88,7 @@ def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
     factor to coprime integers.  ``n_cols`` is required so that an empty
     equation list still knows the ambient dimension.
     """
+    require_ints((n_cols,), "n_cols must be an integer, got {!r}", n_cols)
     m = _integer_rows(rows, n_cols)
     pivots = _eliminate(m, n_cols)
     d = m[0][pivots[0]] if pivots else 1

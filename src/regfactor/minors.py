@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import DEFAULT_BUDGET, BudgetError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, InputError, require_ints
 from .poly import LambdaPolynomial, Polynomial
 from .roots import RegularIdeal, Root, prec_key
 
@@ -38,6 +38,7 @@ class MinorSpec:
         rows, cols = tuple(self.rows), tuple(self.cols)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        require_ints(rows + cols, "rows and columns must be integers: {} {}", rows, cols)
         if len(rows) != len(cols):
             raise InputError(f"row and column counts differ: {rows} vs {cols}")
         for seq, kind in ((rows, "rows"), (cols, "cols")):
@@ -204,6 +205,7 @@ def shift_spec(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorS
     """One-step shift: replace row i by i+1 (down) when i is a row and i+1
     is not, or column i+1 by i (left) when i+1 is a column and i is not.
     Returns None in all other cases."""
+    require_ints((i,), "shift index must be an integer, got {!r}", i)
     if i < 1:
         raise InputError(f"shift index must be positive, got {i}")
     if direction == "down":
@@ -246,13 +248,16 @@ def enumerate_extremal(
     given size, in canonical (size, rows, cols) order.
 
     Minors of full diagonal degree are skipped: their highest coefficient
-    is a scalar and carries no invariant.  Raises InputError when
-    ``max_size`` is below 1 or ``budget`` below 0, and BudgetError (partial
-    results attached, flagged invalid) when the scan would examine more
-    candidate specs than ``budget``.
+    is a scalar and carries no invariant.  Raises InputError, before any
+    work, unless ``budget`` is an int of at least 0 and ``max_size`` None or
+    an int of at least 1; and BudgetError (partial results attached, flagged
+    invalid) when the scan would examine more candidate specs than ``budget``.
     """
-    if max_size is not None and max_size < 1:
-        raise InputError("max_size must be at least 1")
+    require_ints((budget,), "budget must be an integer, got {!r}", budget)
+    if max_size is not None:
+        require_ints((max_size,), "max_size must be an integer, got {!r}", max_size)
+        if max_size < 1:
+            raise InputError("max_size must be at least 1")
     if budget < 0:
         raise InputError("budget must be at least 0")
     n = ideal.n

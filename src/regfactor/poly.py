@@ -1,7 +1,7 @@
 """Exact sparse polynomials in root variables.
 
-Coefficients and point values are ``int``, or ``Fraction`` where input brings
-one; any other type raises InputError.
+Coefficients and point values are ``int``; any other number type raises
+InputError.
 A monomial is a tuple of (root, exponent) pairs with the roots in
 decreasing column order.  Polynomials print and iterate in a canonical
 order: higher total degree first, ties broken lexicographically on the
@@ -14,16 +14,14 @@ exact Jacobian rank used for independence checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from numbers import Number
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import InputError
-from .linalg import EXACT_TYPES
+from .errors import InputError, require_ints
 from .roots import RegularIdeal, Root, prec_key
 
 Monomial = tuple[tuple[Root, int], ...]
-Scalar = Union[int, Fraction]
 
 _ONE: Monomial = ()
 
@@ -73,14 +71,13 @@ def _mono_str(m: Monomial) -> str:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with int or Fraction coefficients."""
+    """Immutable sparse polynomial with int coefficients."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
+    def __init__(self, terms: Optional[Mapping[Monomial, int]] = None):
         terms = terms or {}
-        if not set(map(type, terms.values())) <= EXACT_TYPES:
-            raise InputError("polynomial coefficients must be int or Fraction")
+        require_ints(terms.values(), "polynomial coefficients must be integers")
         object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
 
     def __setattr__(self, name, value):
@@ -91,7 +88,7 @@ class Polynomial:
         return cls()
 
     @classmethod
-    def constant(cls, value: Scalar) -> "Polynomial":
+    def constant(cls, value: int) -> "Polynomial":
         return cls({_ONE: value})
 
     @classmethod
@@ -111,7 +108,7 @@ class Polynomial:
     def variables(self) -> set[Root]:
         return {r for m in self.terms for r, _ in m}
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
+    def sorted_terms(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda kv: _mono_key(kv[0]))
 
     def leading_monomial(self) -> Monomial:
@@ -128,10 +125,11 @@ class Polynomial:
             return -self
         return self
 
-    def _coerce(self, other) -> Optional["Polynomial"]:
+    @staticmethod
+    def _coerce(other) -> Optional["Polynomial"]:
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Number):
             return Polynomial.constant(other)
         return None
 
@@ -162,7 +160,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = _mono_mul(ma, mb)
@@ -172,21 +170,22 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        require_ints((exponent,), "polynomial powers take non-negative integers")
+        if exponent < 0:
             raise InputError("polynomial powers take non-negative integers")
         result = Polynomial.constant(1)
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is int:
+            other = Polynomial.constant(other)
+        if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms
 
@@ -221,7 +220,7 @@ class Polynomial:
     def derivative(self, root: Root) -> "Polynomial":
         """Partial derivative with respect to one root variable."""
         root = tuple(root)
-        out: dict[Monomial, Scalar] = {}
+        out: dict[Monomial, int] = {}
         for mono, coef in self.terms.items():
             for pos, (r, e) in enumerate(mono):
                 if r == root:
@@ -233,17 +232,14 @@ class Polynomial:
                     break
         return Polynomial(out)
 
-    def evaluate(self, point: Mapping[Root, Scalar]) -> Scalar:
-        """Exact value at a point assigning every variable of the polynomial;
-        an ``int`` when the coefficients and the point are integers."""
+    def evaluate(self, point: Mapping[Root, int]) -> int:
+        """Exact value at a point giving every variable an int."""
+        require_ints(map(point.get, self.variables()), "{} needs an int for every variable", self)
         total = 0
         for mono, coef in self.terms.items():
             value = coef
             for r, e in mono:
-                x = point.get(r)
-                if type(x) not in EXACT_TYPES:
-                    raise InputError(f"y[{r[0]},{r[1]}] needs an int or Fraction value, got {x!r}")
-                value = value * x ** e
+                value = value * point[r] ** e
             total += value
         return total
 
@@ -272,7 +268,7 @@ class LambdaPolynomial:
         return cls((poly,))
 
     @classmethod
-    def lam(cls, scale: Scalar = 1) -> "LambdaPolynomial":
+    def lam(cls, scale: int = 1) -> "LambdaPolynomial":
         return cls((Polynomial.zero(), Polynomial.constant(scale)))
 
     @property
@@ -307,10 +303,11 @@ class LambdaPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return LambdaPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, LambdaPolynomial):
-            return NotImplemented
+            other = Polynomial._coerce(other)
+            if other is None:
+                return NotImplemented
+            return LambdaPolynomial(c * other for c in self.coeffs)
         if self.is_zero or other.is_zero:
             return LambdaPolynomial.zero()
         out = [Polynomial.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -401,7 +398,7 @@ def poisson_bracket_generator(
 
 
 def jacobian_rank(
-    polys: Sequence[Polynomial], point: Mapping[Root, Scalar]
+    polys: Sequence[Polynomial], point: Mapping[Root, int]
 ) -> int:
     """Exact rank of the matrix of partial derivatives evaluated at a point."""
     if not polys:

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import InputError
+from .errors import InputError, require_ints
 
 Root = tuple[int, int]
 
@@ -25,8 +25,7 @@ def check_root(n: int, root) -> Root:
         i, j = root
     except (TypeError, ValueError):
         raise InputError(f"not a root: {root!r}") from None
-    if any(type(x) is not int for x in (i, j)):
-        raise InputError(f"root entries must be integers: {root!r}")
+    require_ints((i, j), "root entries must be integers: {!r}", root)
     if not (1 <= j < i <= n):
         raise InputError(f"invalid root {root!r} for n={n}: need 1 <= col < row <= n")
     return (i, j)
@@ -59,6 +58,7 @@ class RegularIdeal:
     roots: frozenset[Root]
 
     def __post_init__(self):
+        require_ints((self.n,), "matrix size must be an integer, got {!r}", self.n)
         if self.n < 1:
             raise InputError(f"matrix size must be >= 1, got {self.n}")
         for root in self.roots:
@@ -110,6 +110,7 @@ def close_ideal(n: int, generators: Iterable, strict: bool = False) -> RegularId
     With ``strict=True`` the generators must already be closed; a set that
     the closure would enlarge is rejected instead of completed.
     """
+    require_ints((n,), "matrix size must be an integer, got {!r}", n)
     gens = {check_root(n, g) for g in generators}
     closed = set(gens)
     queue = list(gens)

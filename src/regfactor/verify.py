@@ -4,7 +4,7 @@ Coadjoint action through matrix conjugation plus projection, randomized
 invariance trials, skew-form rank statistics, a brute-force low-degree
 invariant oracle, and an aggregate report over every checkable identity.
 All trials use seeded generators with small integer entries, so a passing
-seed passes forever.
+seed passes forever; every number taken or given is a plain ``int``.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .diagram import build_diagram, crosscheck_symbols
-from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError
+from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
 from .invariants import InvariantRecord, all_invariants, triangular_decomposition
 from .poly import (
     Monomial,
     Polynomial,
-    Scalar,
     bracket_single,
     jacobian_rank,
     poisson_bracket_generator,
@@ -78,20 +77,19 @@ def _primes(count: int) -> list[int]:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A linear form on the factor: one int or Fraction per root outside the ideal.
+    """A linear form on the factor: one int per root outside the ideal.
 
     The matrix view is strictly upper triangular with the value of root
     (k,t) stored at row t, column k, and zeros on the ideal-dual cells.
     """
 
     ideal: RegularIdeal
-    coords: dict[Root, Scalar]
+    coords: dict[Root, int]
 
     def __post_init__(self):
         if self.coords.keys() != set(self.ideal.free_roots()):
             raise InputError("point must assign exactly the roots outside the ideal")
-        if not set(map(type, self.coords.values())) <= linalg.EXACT_TYPES:
-            raise InputError("point coordinates must be int or Fraction")
+        require_ints(self.coords.values(), "point coordinates must be integers")
 
     @classmethod
     def random(cls, ideal: RegularIdeal, rng: random.Random) -> "DualPoint":
@@ -113,18 +111,17 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A lower unitriangular matrix with int or Fraction entries."""
+    """A lower unitriangular matrix with int entries."""
 
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
         n = len(self.rows)
-        if not set(map(type, chain.from_iterable(self.rows))) <= linalg.EXACT_TYPES:
-            raise InputError("group element entries must be int or Fraction")
+        require_ints(chain.from_iterable(self.rows), "group element entries must be integers")
         for i, row in enumerate(self.rows):
             if len(row) != n:
                 raise InputError("group element must be square")
-            # Entries are exact here, so a truthy one is nonzero.
+            # Entries are ints here, so a truthy one is nonzero.
             if row[i] != 1 or any(row[i + 1:]):
                 raise InputError("group element must be lower unitriangular")
 
@@ -133,7 +130,7 @@ class GroupElement:
         """Entries below the diagonal drawn in row order.  Raises InputError,
         before drawing, unless ``n`` is an int (a bool is not one) and at
         least 1."""
-        _require_int(n=n)
+        require_ints((n,), "n must be an integer, got {!r}", n)
         if n < 1:
             raise InputError("n must be at least 1")
         return cls(_unitriangular(n, _draws(rng, n * (n - 1) // 2)))
@@ -291,11 +288,11 @@ class VerificationReport:
         return out
 
 
-def _require_int(**values) -> None:
-    """Raise InputError unless every value is an int; a bool is not one."""
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+def _check_trials(trials: int, seed: int) -> None:
+    require_ints((trials,), "trials must be an integer, got {!r}", trials)
+    require_ints((seed,), "seed must be an integer, got {!r}", seed)
+    if trials < 1:
+        raise InputError("at least one trial is required")
 
 
 def check_invariance(
@@ -331,9 +328,7 @@ def check_invariance(
     from ``Polynomial.evaluate``, so the witness is what the public API
     reproduces from the seed.
     """
-    _require_int(trials=trials, seed=seed)
-    if trials < 1:
-        raise InputError("at least one trial is required")
+    _check_trials(trials, seed)
     n = ideal.n
     report = VerificationReport()
 
@@ -416,7 +411,7 @@ def check_invariance(
 
 def _compile(
     poly: Polynomial, position: dict[Root, int]
-) -> list[tuple[Scalar, tuple[int, ...]]]:
+) -> list[tuple[int, tuple[int, ...]]]:
     """``poly`` as (coefficient, positions) terms over the free roots, a
     position repeated once per power."""
     terms = []
@@ -431,11 +426,11 @@ def _compile(
 
 
 def _values(
-    terms: list[tuple[Scalar, tuple[int, ...]]], columns: Sequence[Sequence], size: int
-) -> list[Scalar]:
+    terms: list[tuple[int, tuple[int, ...]]], columns: Sequence[Sequence], size: int
+) -> list[int]:
     """The values of compiled ``terms`` at each of ``size`` points, given by
     one column per coordinate."""
-    total: list[Scalar] = [0] * size
+    total: list[int] = [0] * size
     for coef, spots in terms:
         term = repeat(coef, size)
         for p in spots:
@@ -467,9 +462,7 @@ def skew_rank_stats(
     rounded down to even.  No later point can exceed it, so the result is
     the maximum over all ``trials + 1`` points all the same.
     """
-    _require_int(trials=trials, seed=seed)
-    if trials < 1:
-        raise InputError("at least one trial is required")
+    _check_trials(trials, seed)
     dim = len(ideal.free_roots())
     if dim == 0:
         return SkewStats(0, 0)
@@ -501,10 +494,10 @@ def _bracket_table(ideal: RegularIdeal) -> list[tuple[int, int, int, int]]:
 
 
 def _skew_form(
-    table: list[tuple[int, int, int, int]], dim: int, x: Sequence[Scalar]
-) -> list[list[Scalar]]:
+    table: list[tuple[int, int, int, int]], dim: int, x: Sequence[int]
+) -> list[list[int]]:
     """The matrix of B_x, with x given by its values down the free roots."""
-    rows: list[list[Scalar]] = [[0] * dim for _ in range(dim)]
+    rows: list[list[int]] = [[0] * dim for _ in range(dim)]
     for a, b, sign, c in table:
         value = sign * x[c]
         rows[a][b] = value
@@ -601,7 +594,8 @@ def oracle_invariants(
     scaling, as from the full system in that order, whatever the order of
     the rows.
     """
-    _require_int(max_degree=max_degree, budget=budget)
+    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
+    require_ints((budget,), "budget must be an integer, got {!r}", budget)
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
     if budget < 0:
@@ -849,10 +843,9 @@ def full_report(
     when ``trials`` or ``max_degree`` is below 1, or when ``oracle_budget``
     is below 0.
     """
-    _require_int(trials=trials, seed=seed, max_degree=max_degree,
-                 oracle_budget=oracle_budget)
-    if trials < 1:
-        raise InputError("at least one trial is required")
+    _check_trials(trials, seed)
+    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
+    require_ints((oracle_budget,), "oracle_budget must be an integer, got {!r}", oracle_budget)
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
     if oracle_budget < 0:

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, require_ints
 from .roots import RegularIdeal, Root, check_root, prec_key
 
 
@@ -56,6 +56,7 @@ def inversions(perm: Permutation) -> int:
 
 
 def _check_decreasing(n: int, roots: Sequence[Root]) -> None:
+    require_ints((n,), "matrix size must be an integer, got {!r}", n)
     keys = [prec_key(check_root(n, r)) for r in roots]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise InputError("reflection list must be strictly decreasing")

@@ -339,9 +339,7 @@ def random_polynomial(
         coef = 0
         while coef == 0:
             coef = rng.randint(*coef_range)
-        term = Polynomial.constant(
-            Fraction(coef, rng.randint(1, 4)) if rng.random() < 0.3 else coef
-        )
+        term = Polynomial.constant(coef)
         for _ in range(rng.randint(0, max_factors)):
             term = term * Polynomial.variable(rng.choice(variables))
         out = out + term

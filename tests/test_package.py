@@ -1,9 +1,33 @@
-"""The package's public name list."""
+"""The package's public name list, and its one number type."""
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import regfactor
+from regfactor import (
+    DualPoint,
+    GroupElement,
+    InputError,
+    LambdaPolynomial,
+    MinorSpec,
+    Polynomial,
+    RegularIdeal,
+    check_invariance,
+    close_ideal,
+    enumerate_extremal,
+    full_report,
+    jacobian_rank,
+    oracle_invariants,
+    reflection_product,
+    shift_spec,
+    skew_rank_stats,
+)
+from regfactor.linalg import in_span, nullspace, rank
+from regfactor.roots import check_root
 
 # Public names that no code under src/regfactor/ reaches, each with the
 # reason it stays public.
@@ -41,3 +65,77 @@ def test_every_public_name_is_used_inside_the_package():
     assert sorted(set(regfactor.__all__) - used - UNREFERENCED_OK) == []
     assert sorted(UNREFERENCED_OK & used) == []
     assert UNREFERENCED_OK <= set(regfactor.__all__)
+
+
+def test_no_module_imports_fractions():
+    # int is the only number type the package accepts or produces, so no
+    # module needs the fractions module.
+    importers = []
+    for path in sorted(Path(regfactor.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
+_Y = Polynomial.variable((2, 1))
+_IDEAL = close_ideal(3, [])
+_TRIVIAL = RegularIdeal(1, frozenset())
+_SPEC = MinorSpec((2,), (1,))
+
+# Each public entry that takes a number, called with the value v in one
+# numeric place; with v = 2 every call goes through.
+_NUMBER_ENTRIES = {
+    "rank": lambda v: rank([[1, v]]),
+    "nullspace.rows": lambda v: nullspace([[1, v]], 2),
+    "nullspace.n_cols": lambda v: nullspace([], v),
+    "in_span.vectors": lambda v: in_span([[1, v]], [[1, 2]]),
+    "in_span.targets": lambda v: in_span([[1, 2]], [[1, v]]),
+    "Polynomial": lambda v: Polynomial({(): v}),
+    "Polynomial.constant": lambda v: Polynomial.constant(v),
+    "Polynomial.evaluate": lambda v: _Y.evaluate({(2, 1): v}),
+    "Polynomial.__add__": lambda v: _Y + v,
+    "Polynomial.__rsub__": lambda v: v - _Y,
+    "Polynomial.__mul__": lambda v: _Y * v,
+    "Polynomial.__pow__": lambda v: _Y ** v,
+    "LambdaPolynomial.lam": lambda v: LambdaPolynomial.lam(v),
+    "LambdaPolynomial.__mul__": lambda v: LambdaPolynomial.zero() * v,
+    "jacobian_rank": lambda v: jacobian_rank([_Y * _Y], {(2, 1): v}),
+    "check_root": lambda v: check_root(3, (v, 1)),
+    "RegularIdeal": lambda v: RegularIdeal(v, frozenset()),
+    "close_ideal.n": lambda v: close_ideal(v, [(2, 1)]),
+    "close_ideal.generators": lambda v: close_ideal(3, [(3, v)]),
+    "reflection_product": lambda v: reflection_product(v, []),
+    "MinorSpec.rows": lambda v: MinorSpec((v,), (1,)),
+    "MinorSpec.cols": lambda v: MinorSpec((2,), (v,)),
+    "shift_spec": lambda v: shift_spec(_SPEC, v, "down"),
+    "enumerate_extremal.budget": lambda v: enumerate_extremal(_TRIVIAL, budget=v),
+    "enumerate_extremal.max_size": lambda v: enumerate_extremal(_IDEAL, max_size=v),
+    "DualPoint": lambda v: DualPoint(_IDEAL, {r: v for r in _IDEAL.free_roots()}),
+    "GroupElement": lambda v: GroupElement(((1, 0), (v, 1))),
+    "GroupElement.random": lambda v: GroupElement.random(v, random.Random(0)),
+    "check_invariance.trials": lambda v: check_invariance([], _IDEAL, trials=v),
+    "check_invariance.seed": lambda v: check_invariance([], _IDEAL, seed=v),
+    "skew_rank_stats.trials": lambda v: skew_rank_stats(_IDEAL, trials=v),
+    "skew_rank_stats.seed": lambda v: skew_rank_stats(_IDEAL, seed=v),
+    "oracle_invariants.max_degree": lambda v: oracle_invariants(_IDEAL, v),
+    "oracle_invariants.budget": lambda v: oracle_invariants(_TRIVIAL, 2, budget=v),
+    "full_report.trials": lambda v: full_report(_IDEAL, trials=v),
+    "full_report.seed": lambda v: full_report(_IDEAL, seed=v),
+    "full_report.max_degree": lambda v: full_report(_IDEAL, max_degree=v),
+    "full_report.oracle_budget": lambda v: full_report(_IDEAL, oracle_budget=v),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, True], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRIES))
+def test_every_number_entry_rejects_non_ints(entry, value):
+    with pytest.raises(InputError):
+        _NUMBER_ENTRIES[entry](value)
+    _NUMBER_ENTRIES[entry](2)

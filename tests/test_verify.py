@@ -91,17 +91,15 @@ def test_action_preserves_ideal_annihilation():
 def test_group_element_validation_and_inverse():
     with pytest.raises(InputError):
         GroupElement(((1, 0), (2, 2)))
-    for rows in (((1, 3), (0, 1)), ((1, 0, 0), (2, 1, Fraction(1, 2)), (0, 0, 1))):
+    for rows in (((1, 3), (0, 1)), ((1, 0, 0), (2, 1, 5), (0, 0, 1))):
         with pytest.raises(InputError, match="lower unitriangular"):
             GroupElement(rows)
     with pytest.raises(InputError, match="square"):
         GroupElement(((1, 0), (2, 1, 0)))
-    assert GroupElement(((1, Fraction(0)), (2, 1))).n == 2
-    for rows in (((1, 0), (2.5, 1)), ((True, 0), (1, True)), ((1, 0), ("2", 1))):
-        with pytest.raises(InputError, match="int or Fraction"):
+    for rows in (((1, 0), (2.5, 1)), ((True, 0), (1, True)), ((1, 0), ("2", 1)),
+                 ((1, Fraction(0)), (2, 1)), ((1, 0), (Fraction(1, 2), 1))):
+        with pytest.raises(InputError, match="^group element entries must be integers$"):
             GroupElement(rows)
-    half = GroupElement(((1, 0), (Fraction(1, 2), 1)))
-    assert group_product(half, group_inverse(half)) == group_identity(2)
     rng = random.Random(3)
     for n in (2, 5, 8):
         g = GroupElement.random(n, rng)
@@ -162,15 +160,6 @@ def test_coadjoint_act_matches_dense_reference():
         g = GroupElement(tuple(map(tuple, rows)))
         point = DualPoint.random(ideal, rng)
         assert coadjoint_act(g, point) == reference_coadjoint_act(g, point)
-    rows = [[int(i == j) for j in range(7)] for i in range(7)]
-    for i in range(7):
-        for j in range(i):
-            rows[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    g = GroupElement(tuple(map(tuple, rows)))
-    point = DualPoint.random(n7_ideal(), rng)
-    moved = coadjoint_act(g, point)
-    assert moved == reference_coadjoint_act(g, point)
-    assert any(type(v) is Fraction and v.denominator > 1 for v in moved.coords.values())
 
 
 def _unclosed_ideal(n: int, roots) -> RegularIdeal:
@@ -198,9 +187,10 @@ def test_dual_point_validation():
     with pytest.raises(InputError):
         DualPoint(ideal, {(2, 1): Fraction(1)})
     values = dict(DualPoint.prime_point(ideal).coords)
-    values[(4, 1)] = 2.0
-    with pytest.raises(InputError):
-        DualPoint(ideal, values)
+    for bad in (2.0, Fraction(2), True):
+        values[(4, 1)] = bad
+        with pytest.raises(InputError, match="^point coordinates must be integers$"):
+            DualPoint(ideal, values)
     point = DualPoint.prime_point(ideal)
     matrix = dual_matrix(point)
     assert matrix[0][3] == point.coords[(4, 1)]  # row t=1, column k=4

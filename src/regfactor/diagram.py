@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import ConstructionError
+from .errors import ConstructionError, require_ints
 from .roots import RegularIdeal, Root, positive_roots
 from .weyl import reflection_product
 
@@ -66,6 +66,8 @@ class Diagram:
     def render(self, upto_step: Optional[int] = None) -> str:
         """Text grid; cells on or above the diagonal, and cells not yet
         filled after ``upto_step``, print as dots."""
+        if upto_step is not None:
+            require_ints((upto_step,), "upto_step must be an integer, got {!r}", upto_step)
         lines = []
         for i in range(1, self.n + 1):
             row = []

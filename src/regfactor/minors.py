@@ -64,6 +64,7 @@ class CharMatrix:
         return self.ideal.n
 
     def entry(self, i: int, j: int) -> LambdaPolynomial:
+        require_ints((i, j), "entry indices must be integers: ({!r},{!r})", i, j)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise InputError(f"entry ({i},{j}) outside a {self.n}x{self.n} matrix")
         if i == j:
@@ -169,21 +170,23 @@ def minor_top(matrix: CharMatrix, spec: MinorSpec) -> tuple[int, Polynomial]:
 def minor_lambda(matrix: CharMatrix, spec: MinorSpec) -> LambdaPolynomial:
     """Exact determinant of the selected submatrix of the characteristic
     matrix, expanded over column subsets."""
-    _check_fits(matrix, spec)
+    cells = _row_cells(matrix, spec)
     m = spec.size
     if m == 0:
         return LambdaPolynomial.of_poly(Polynomial.constant(1))
-    entries = [[matrix.entry(i, j) for j in spec.cols] for i in spec.rows]
+    diagonal = LambdaPolynomial.lam(-1)
+    entries = [
+        [(c, diagonal if root is None else LambdaPolynomial.of_poly(Polynomial.variable(root)))
+         for c, root in row]
+        for row in cells
+    ]
     zero = LambdaPolynomial.zero()
     dp: dict[int, LambdaPolynomial] = {0: LambdaPolynomial.of_poly(Polynomial.constant(1))}
-    for r in range(m):
+    for row in entries:
         ndp: dict[int, LambdaPolynomial] = {}
         for mask, val in dp.items():
-            for c in range(m):
+            for c, entry in row:
                 if mask >> c & 1:
-                    continue
-                entry = entries[r][c]
-                if entry.is_zero:
                     continue
                 # Parity of already-used columns to the right of c.
                 sign = -1 if bin(mask >> (c + 1)).count("1") % 2 else 1

@@ -7,19 +7,17 @@ decreasing column order.  Polynomials print and iterate in a canonical
 order: higher total degree first, ties broken lexicographically on the
 expanded variable sequence.
 
-The module also carries the Poisson structure of the algebra (bracket of
-basis vectors via structure constants, extended as a derivation) and an
-exact Jacobian rank used for independence checks.
+The module also carries the structure constants of the algebra: the
+bracket of two basis vectors.
 """
 
 from __future__ import annotations
 
 from numbers import Number
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
-from . import linalg
 from .errors import InputError, require_ints
-from .roots import RegularIdeal, Root, prec_key
+from .roots import Root, prec_key
 
 Monomial = tuple[tuple[Root, int], ...]
 
@@ -190,6 +188,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A constant equals its int, so it hashes as that int.
+        if not self.terms.keys() - {_ONE}:
+            return hash(self.terms.get(_ONE, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
@@ -216,21 +217,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-    def derivative(self, root: Root) -> "Polynomial":
-        """Partial derivative with respect to one root variable."""
-        root = tuple(root)
-        out: dict[Monomial, int] = {}
-        for mono, coef in self.terms.items():
-            for pos, (r, e) in enumerate(mono):
-                if r == root:
-                    if e == 1:
-                        reduced = mono[:pos] + mono[pos + 1 :]
-                    else:
-                        reduced = mono[:pos] + ((r, e - 1),) + mono[pos + 1 :]
-                    out[reduced] = out.get(reduced, 0) + coef * e
-                    break
-        return Polynomial(out)
 
     def evaluate(self, point: Mapping[Root, int]) -> int:
         """Exact value at a point giving every variable an int."""
@@ -281,6 +267,7 @@ class LambdaPolynomial:
         return len(self.coeffs) - 1
 
     def coefficient(self, power: int) -> Polynomial:
+        require_ints((power,), "power must be an integer, got {!r}", power)
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return Polynomial.zero()
@@ -291,10 +278,9 @@ class LambdaPolynomial:
     def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         if not isinstance(other, LambdaPolynomial):
             return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return LambdaPolynomial(
-            self.coefficient(k) + other.coefficient(k) for k in range(size)
-        )
+        a, b = self.coeffs, other.coeffs
+        # Past the shorter list, the longer one's coefficients stand alone.
+        return LambdaPolynomial([p + q for p, q in zip(a, b)] + list(a[len(b):] + b[len(a):]))
 
     def __neg__(self) -> "LambdaPolynomial":
         return LambdaPolynomial(-c for c in self.coeffs)
@@ -365,47 +351,3 @@ def bracket_single(a: Root, b: Root) -> Optional[tuple[int, Root]]:
     if l == i:
         return (-1, (k, j))
     return None
-
-
-def poisson_bracket_generator(
-    i: int, p: Polynomial, ideal: RegularIdeal
-) -> Polynomial:
-    """Bracket of the subdiagonal generator at rows (i+1, i) with ``p``,
-    reduced modulo the ideal.
-
-    ``p`` may only use variables outside the ideal; the result is zero when
-    the generator itself lies in the ideal.
-    """
-    n = ideal.n
-    if not 1 <= i <= n - 1:
-        raise InputError(f"generator index must lie in [1, {n - 1}], got {i}")
-    bad = [r for r in p.variables() if r in ideal]
-    if bad:
-        raise InputError(f"polynomial uses ideal variables: {sorted(bad)}")
-    gen = (i + 1, i)
-    if gen in ideal:
-        return Polynomial.zero()
-    out = Polynomial.zero()
-    for b in p.variables():
-        hit = bracket_single(gen, b)
-        if hit is None:
-            continue
-        sign, root = hit
-        if root in ideal:
-            continue
-        out = out + p.derivative(b) * Polynomial({((root, 1),): sign})
-    return out
-
-
-def jacobian_rank(
-    polys: Sequence[Polynomial], point: Mapping[Root, int]
-) -> int:
-    """Exact rank of the matrix of partial derivatives evaluated at a point."""
-    if not polys:
-        return 0
-    variables = sorted({v for p in polys for v in p.variables()}, key=prec_key)
-    rows = [
-        [p.derivative(v).evaluate(point) for v in variables]
-        for p in polys
-    ]
-    return linalg.rank(rows)

@@ -43,6 +43,7 @@ def prec_key(root: Root) -> tuple[int, int]:
 
 def positive_roots(n: int) -> list[Root]:
     """All positive roots for size ``n`` in decreasing order."""
+    require_ints((n,), "matrix size must be an integer, got {!r}", n)
     return [(i, j) for j in range(1, n) for i in range(n, j, -1)]
 
 

@@ -1,7 +1,8 @@
 """Exact verification harness.
 
-Coadjoint action through matrix conjugation plus projection, randomized
-invariance trials, skew-form rank statistics, a brute-force low-degree
+Coadjoint action through matrix conjugation plus projection, generator
+brackets, randomized invariance trials and Jacobian ranks on compiled
+record terms, skew-form rank statistics, a brute-force low-degree
 invariant oracle, and an aggregate report over every checkable identity.
 All trials use seeded generators with small integer entries, so a passing
 seed passes forever; every number taken or given is a plain ``int``.
@@ -14,7 +15,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
-from math import comb
+from math import comb, prod
 from operator import add, and_, mul, ne
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,13 +23,7 @@ from . import linalg
 from .diagram import build_diagram, crosscheck_symbols
 from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
 from .invariants import InvariantRecord, all_invariants, triangular_decomposition
-from .poly import (
-    Monomial,
-    Polynomial,
-    bracket_single,
-    jacobian_rank,
-    poisson_bracket_generator,
-)
+from .poly import Monomial, Polynomial, bracket_single
 from .roots import RegularIdeal, Root
 from .weyl import column_max_permutation, inversions, reflection_product
 
@@ -95,12 +90,6 @@ class DualPoint:
     def random(cls, ideal: RegularIdeal, rng: random.Random) -> "DualPoint":
         free = ideal.free_roots()
         return cls(ideal, dict(zip(free, _draws(rng, len(free)))))
-
-    @classmethod
-    def prime_point(cls, ideal: RegularIdeal) -> "DualPoint":
-        """The structured generic point: distinct primes down the root order."""
-        free = ideal.free_roots()
-        return cls(ideal, dict(zip(free, _primes(len(free)))))
 
     def to_json(self) -> dict:
         return {
@@ -304,12 +293,19 @@ def check_invariance(
     """Exact invariance of every record's highest coefficient.
 
     First all subdiagonal generator brackets must reduce to zero; then the
-    value must be constant under ``trials`` seeded coadjoint moves.
+    value must be constant under ``trials`` seeded coadjoint moves.  Each
+    record is compiled once into (coefficient, variable positions) terms,
+    positions in ``ideal.free_roots()`` order, and both checks read those
+    terms.
+
+    A bracket is one pass over the terms (``_bracket``), the generator's
+    moves taken from ``_generator_moves``.  The first record, then the first
+    generator, with a nonzero residual is the witness; only its residual
+    becomes a ``Polynomial``, for the string.
 
     The trials run ``_BLOCK`` at a time, held as columns: one list per
-    matrix cell or point coordinate, one entry per trial of the block, in
-    ``ideal.free_roots()`` order.  Each record is compiled once into
-    (coefficient, variable positions) terms and evaluated on the columns.
+    matrix cell or point coordinate, one entry per trial of the block, and
+    the compiled records are evaluated on the columns.
     Each block makes one ``_draws`` call from the one ``random.Random(seed)``,
     which reads whole generator words and gives the values and the final
     state of the same ``randint(-9, 9)`` calls that ``GroupElement.random``
@@ -331,17 +327,19 @@ def check_invariance(
     _check_trials(trials, seed)
     n = ideal.n
     report = VerificationReport()
+    free = ideal.free_roots()
+    position = {root: p for p, root in enumerate(free)}
+    compiled = [_compile(record.invariant, position) for record in records]
+    moves = _generator_moves(ideal)
 
     witness = None
-    for record in records:
-        for i in range(1, n):
-            residual = poisson_bracket_generator(i, record.invariant, ideal)
-            if not residual.is_zero:
-                witness = {
-                    "xi": list(record.xi),
-                    "generator": i,
-                    "residual": str(residual),
-                }
+    for record, terms in zip(records, compiled):
+        for i, table in moves.items():
+            residual = _bracket(terms, table)
+            if any(residual.values()):
+                poly = Polynomial({_monomial([free[k] for k in spots]): c
+                                   for spots, c in residual.items()})
+                witness = {"xi": list(record.xi), "generator": i, "residual": str(poly)}
                 break
         if witness:
             break
@@ -354,9 +352,6 @@ def check_invariance(
         )
     )
 
-    free = ideal.free_roots()
-    position = {root: p for p, root in enumerate(free)}
-    compiled = [_compile(record.invariant, position) for record in records]
     cells = [(t - 1, k - 1) for (k, t) in free]
     below = n * (n - 1) // 2
     per_trial = below + len(free)
@@ -437,6 +432,57 @@ def _values(
             term = map(mul, term, columns[p])
         total = list(map(add, total, term))
     return total
+
+
+def _generator_moves(ideal: RegularIdeal) -> dict[int, dict[int, tuple[int, int]]]:
+    """For each generator (i+1,i) outside the ideal, in order of i, the map
+    from a free position k to (sign, r) when the generator's bracket with
+    the variable at k is sign times the variable at free position r; a
+    bracket onto an ideal cell is zero in the factor and has no entry."""
+    variables = ideal.free_roots()
+    position = {root: k for k, root in enumerate(variables)}
+    moves: dict[int, dict[int, tuple[int, int]]] = {}
+    for i in range(1, ideal.n):
+        if (i + 1, i) in ideal:
+            continue
+        table = moves[i] = {}
+        for k, root in enumerate(variables):
+            hit = bracket_single((i + 1, i), root)
+            if hit is not None and hit[1] in position:
+                table[k] = (hit[0], position[hit[1]])
+    return moves
+
+
+def _bracket(
+    terms: list[tuple[int, tuple[int, ...]]], table: dict[int, tuple[int, int]]
+) -> dict[tuple[int, ...], int]:
+    """The bracket of the generator with the moves ``table`` with compiled
+    ``terms``, as a map from sorted positions to coefficient (zeros kept).
+
+    The bracket is a derivation, so each copy of a moved variable in a term
+    gives one term, that copy replaced by its target.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    for coef, spots in terms:
+        for at, k in enumerate(spots):
+            move = table.get(k)
+            if move is not None:
+                sign, r = move
+                key = tuple(sorted(spots[:at] + (r,) + spots[at + 1:]))
+                out[key] = out.get(key, 0) + sign * coef
+    return out
+
+
+def _gradient(terms: list[tuple[int, tuple[int, ...]]], x: Sequence[int]) -> list[int]:
+    """The partial derivatives of compiled ``terms`` at the point ``x``, one
+    per coordinate: each copy of a variable in a term adds the value of the
+    term's other factors."""
+    row = [0] * len(x)
+    for coef, spots in terms:
+        values = [x[p] for p in spots]
+        for at, p in enumerate(spots):
+            row[p] += coef * prod(values[:at]) * prod(values[at + 1:])
+    return row
 
 
 class SkewStats(NamedTuple):
@@ -705,18 +751,12 @@ def _oracle_columns(
     # that generator i reaches.
     base = max_degree + 1
     power = [base**k for k in range(len(variables))]
-    position = {root: k for k, root in enumerate(variables)}
     moves: list[list[tuple[int, int, int, int]]] = [[] for _ in variables]
     targets = [0] * n
-    for i in range(1, n):
-        if (i + 1, i) in ideal:
-            continue
-        for k, root in enumerate(variables):
-            hit = bracket_single((i + 1, i), root)
-            if hit is not None and hit[1] not in ideal:
-                r = position[hit[1]]
-                moves[k].append((hit[0], (power[r] - power[k]) * n + i, i, r))
-                targets[i] |= 1 << r
+    for i, table in _generator_moves(ideal).items():
+        for k, (sign, r) in table.items():
+            moves[k].append((sign, (power[r] - power[k]) * n + i, i, r))
+            targets[i] |= 1 << r
     guards = [[targets[i] & ~(1 << r) for _, _, i, r in mk] for mk in moves]
     big = 2 * max_degree + 1
     torus = [big ** (i - 1) - big ** (j - 1) for i, j in variables]
@@ -947,8 +987,12 @@ def full_report(
     run("skew_rank", check_skew, trials=_RANK_TRIALS, seed=seed)
 
     def check_jacobian():
-        point = DualPoint.prime_point(ideal)
-        found = jacobian_rank([r.invariant for r in records], point.coords)
+        # The gradients at the distinct-prime point, one column per free
+        # root; a column of a variable no record uses is zero.
+        free = ideal.free_roots()
+        position = {root: p for p, root in enumerate(free)}
+        x = _primes(len(free))
+        found = linalg.rank([_gradient(_compile(r.invariant, position), x) for r in records])
         if found != len(records):
             raise ConstructionError(
                 f"Jacobian rank {found} differs from the cross count {len(records)}"

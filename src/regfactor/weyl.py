@@ -24,6 +24,7 @@ class Permutation:
 
     def __post_init__(self):
         n = len(self.images)
+        require_ints(self.images, "permutation entries must be integers: {!r}", self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise InputError(f"not a permutation of 1..{n}: {self.images}")
 

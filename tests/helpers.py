@@ -1,10 +1,12 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 small tools the library does not need (root sums, group-element products
-and inverses, problem documents, span membership of polynomials), and
-independent oracles (permutation-sum determinant, brute inversion count,
-Fraction Gauss-Jordan elimination, per-monomial bracket oracle, dense
-coadjoint conjugation, the plain formal matrix, the full Poisson bracket
-and reduction modulo the ideal, the sampled skew rank without early stop)
+and inverses, problem documents, span membership of polynomials, the
+distinct-prime point), and independent oracles (permutation-sum
+determinant, brute inversion count, Fraction Gauss-Jordan elimination,
+partial derivatives, the generator bracket and the Jacobian rank in
+polynomial arithmetic, per-monomial bracket oracle, dense coadjoint
+conjugation, the plain formal matrix, the full Poisson bracket and
+reduction modulo the ideal, the sampled skew rank without early stop)
 that never touch the code paths they check; and the coadjoint trials
 through the public objects, whose move is the library's own, checked
 against the dense conjugation."""
@@ -28,8 +30,8 @@ from regfactor import (
     bracket_single,
     close_ideal,
     coadjoint_act,
-    poisson_bracket_generator,
     positive_roots,
+    prec_key,
 )
 from regfactor.linalg import in_span
 
@@ -184,11 +186,44 @@ def phi_matrix(ideal: RegularIdeal) -> list[list[Polynomial]]:
     ]
 
 
+def primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    out: list[int] = []
+    candidate = 2
+    while len(out) < count:
+        if all(candidate % p for p in out):
+            out.append(candidate)
+        candidate += 1
+    return out
+
+
+def prime_point(ideal: RegularIdeal) -> DualPoint:
+    """The structured generic point: distinct primes down the root order."""
+    free = ideal.free_roots()
+    return DualPoint(ideal, dict(zip(free, primes(len(free)))))
+
+
+def derivative(p: Polynomial, root) -> Polynomial:
+    """Partial derivative of ``p`` with respect to one root variable."""
+    root = tuple(root)
+    out: dict = {}
+    for mono, coef in p.terms.items():
+        for pos, (r, e) in enumerate(mono):
+            if r == root:
+                if e == 1:
+                    reduced = mono[:pos] + mono[pos + 1:]
+                else:
+                    reduced = mono[:pos] + ((r, e - 1),) + mono[pos + 1:]
+                out[reduced] = out.get(reduced, 0) + coef * e
+                break
+    return Polynomial(out)
+
+
 def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
     """Full Poisson bracket, extended from the basis as a biderivation."""
     out = Polynomial.zero()
     for a in p.variables():
-        dp = p.derivative(a)
+        dp = derivative(p, a)
         if dp.is_zero:
             continue
         for b in q.variables():
@@ -196,8 +231,48 @@ def poisson_bracket(p: Polynomial, q: Polynomial) -> Polynomial:
             if hit is None:
                 continue
             sign, root = hit
-            out = out + dp * q.derivative(b) * Polynomial({((root, 1),): sign})
+            out = out + dp * derivative(q, b) * Polynomial({((root, 1),): sign})
     return out
+
+
+def poisson_bracket_generator(i: int, p: Polynomial, ideal: RegularIdeal) -> Polynomial:
+    """Bracket of the subdiagonal generator at rows (i+1, i) with ``p``,
+    reduced modulo the ideal, in polynomial arithmetic: a derivative times
+    a moved variable per variable of ``p``.
+
+    ``p`` may only use variables outside the ideal; the result is zero when
+    the generator itself lies in the ideal.
+    """
+    n = ideal.n
+    if not 1 <= i <= n - 1:
+        raise InputError(f"generator index must lie in [1, {n - 1}], got {i}")
+    bad = [r for r in p.variables() if r in ideal]
+    if bad:
+        raise InputError(f"polynomial uses ideal variables: {sorted(bad)}")
+    gen = (i + 1, i)
+    if gen in ideal:
+        return Polynomial.zero()
+    out = Polynomial.zero()
+    for b in p.variables():
+        hit = bracket_single(gen, b)
+        if hit is None:
+            continue
+        sign, root = hit
+        if root in ideal:
+            continue
+        out = out + derivative(p, b) * Polynomial({((root, 1),): sign})
+    return out
+
+
+def jacobian_rank(polys, point) -> int:
+    """Rank of the matrix of partial derivatives at ``point``: each
+    derivative built as a polynomial and evaluated, over the variables the
+    polynomials use, and the rank the pivot count of ``gauss_jordan``."""
+    if not polys:
+        return 0
+    variables = sorted({v for p in polys for v in p.variables()}, key=prec_key)
+    rows = [[derivative(p, v).evaluate(point) for v in variables] for p in polys]
+    return len(gauss_jordan(rows)[1])
 
 
 def reduce_mod_ideal(p: Polynomial, ideal: RegularIdeal) -> Polynomial:
@@ -472,13 +547,13 @@ def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
 
 def reference_skew_forms(ideal: RegularIdeal, trials: int, seed: int) -> list[list[list]]:
     """The bracket form B_x at every one of the ``trials + 1`` sampled points,
-    all built before any is ranked: ``DualPoint.prime_point``, then
+    all built before any is ranked: ``prime_point``, then
     ``DualPoint.random`` in turn from ``random.Random(seed)``, each matrix
     filled pair by pair from ``bracket_single``."""
     basis = ideal.free_roots()
     dim = len(basis)
     rng = random.Random(seed)
-    points = [DualPoint.prime_point(ideal)]
+    points = [prime_point(ideal)]
     points += [DualPoint.random(ideal, rng) for _ in range(trials)]
     forms = []
     for point in points:

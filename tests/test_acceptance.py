@@ -13,7 +13,6 @@ import random
 import time
 
 from regfactor import (
-    DualPoint,
     MinorSpec,
     all_invariants,
     build_diagram,
@@ -24,10 +23,8 @@ from regfactor import (
     crosscheck_symbols,
     inversions,
     is_extremal,
-    jacobian_rank,
     minor_lambda,
     oracle_invariants,
-    poisson_bracket_generator,
     reflection_product,
     skew_rank_stats,
 )
@@ -38,8 +35,11 @@ from helpers import (
     assert_unit_coefficients,
     grid,
     in_poly_span,
+    jacobian_rank,
     n7_ideal,
     naive_minor,
+    poisson_bracket_generator,
+    prime_point,
     random_ideal,
     random_ideals,
     y,
@@ -197,7 +197,7 @@ def test_criterion_7_independence():
     with criterion(7, "Jacobian rank equals the cross count"):
         for index in range(len(pool())):
             ideal, _, records = analysis(index)
-            point = DualPoint.prime_point(ideal)
+            point = prime_point(ideal)
             rank = jacobian_rank([r.invariant for r in records], point.coords)
             assert rank == len(records)
 

@@ -3,7 +3,6 @@
 import pytest
 
 from regfactor import (
-    DualPoint,
     InputError,
     build_diagram,
     characteristic_matrix,
@@ -11,16 +10,17 @@ from regfactor import (
     cross_data,
     all_invariants,
     invariant_for,
-    jacobian_rank,
     minor_lambda,
-    poisson_bracket_generator,
     triangular_decomposition,
 )
 from helpers import (
     N7_CROSSES,
     assert_unit_coefficients,
+    jacobian_rank,
     n7_ideal,
     naive_minor,
+    poisson_bracket_generator,
+    prime_point,
     random_ideals,
     y,
 )
@@ -165,7 +165,7 @@ def test_jacobian_rank_matches_cross_count_random():
         records = all_invariants(ideal)
         for record in records:
             assert_unit_coefficients(record.invariant)
-        point = DualPoint.prime_point(ideal)
+        point = prime_point(ideal)
         assert jacobian_rank([r.invariant for r in records], point.coords) == len(records)
 
 

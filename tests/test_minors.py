@@ -27,6 +27,7 @@ from helpers import (
     n7_ideal,
     naive_minor,
     phi_matrix,
+    poisson_bracket_generator,
     random_ideal,
     y,
 )
@@ -232,8 +233,6 @@ def test_extremal_top_coefficients_are_invariant():
     # the defining property (Theorem 2.5): every extremal minor's highest
     # coefficient is annihilated by all subdiagonal generator brackets, on
     # every regular ideal with n <= 5 and on the n=7 reference
-    from regfactor import poisson_bracket_generator
-
     ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
     for ideal in ideals:
         matrix = characteristic_matrix(ideal)

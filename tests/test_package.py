@@ -14,14 +14,17 @@ from regfactor import (
     InputError,
     LambdaPolynomial,
     MinorSpec,
+    Permutation,
     Polynomial,
     RegularIdeal,
+    build_diagram,
+    characteristic_matrix,
     check_invariance,
     close_ideal,
     enumerate_extremal,
     full_report,
-    jacobian_rank,
     oracle_invariants,
+    positive_roots,
     reflection_product,
     shift_spec,
     skew_rank_stats,
@@ -67,27 +70,46 @@ def test_every_public_name_is_used_inside_the_package():
     assert UNREFERENCED_OK <= set(regfactor.__all__)
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """The modules a file imports, a relative import by its module name
+    (``from . import linalg`` as "linalg", ``from .roots import x`` as
+    "roots")."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_no_module_imports_fractions():
     # int is the only number type the package accepts or produces, so no
     # module needs the fractions module.
-    importers = []
-    for path in sorted(Path(regfactor.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "fractions" for name in names):
-                importers.append(path.name)
+    importers = [
+        path.name
+        for path in sorted(Path(regfactor.__file__).parent.glob("*.py"))
+        if any(name.split(".")[0] == "fractions" for name in _imported_modules(path))
+    ]
     assert importers == []
+
+
+def test_poly_imports_neither_linalg_nor_verify():
+    # poly is sparse polynomials and structure constants; the checks that
+    # rank or bracket records live in verify, on compiled terms.
+    path = Path(regfactor.__file__).parent / "poly.py"
+    assert _imported_modules(path) & {"linalg", "verify"} == set()
 
 
 _Y = Polynomial.variable((2, 1))
 _IDEAL = close_ideal(3, [])
 _TRIVIAL = RegularIdeal(1, frozenset())
 _SPEC = MinorSpec((2,), (1,))
+_DIAGRAM = build_diagram(_IDEAL)
+_MATRIX = characteristic_matrix(_IDEAL)
 
 # Each public entry that takes a number, called with the value v in one
 # numeric place; with v = 2 every call goes through.
@@ -106,11 +128,15 @@ _NUMBER_ENTRIES = {
     "Polynomial.__pow__": lambda v: _Y ** v,
     "LambdaPolynomial.lam": lambda v: LambdaPolynomial.lam(v),
     "LambdaPolynomial.__mul__": lambda v: LambdaPolynomial.zero() * v,
-    "jacobian_rank": lambda v: jacobian_rank([_Y * _Y], {(2, 1): v}),
+    "LambdaPolynomial.coefficient": lambda v: LambdaPolynomial.lam().coefficient(v),
     "check_root": lambda v: check_root(3, (v, 1)),
     "RegularIdeal": lambda v: RegularIdeal(v, frozenset()),
     "close_ideal.n": lambda v: close_ideal(v, [(2, 1)]),
     "close_ideal.generators": lambda v: close_ideal(3, [(3, v)]),
+    "positive_roots": lambda v: positive_roots(v),
+    "Permutation": lambda v: Permutation((v, 1)),
+    "Diagram.render": lambda v: _DIAGRAM.render(upto_step=v),
+    "CharMatrix.entry": lambda v: _MATRIX.entry(v, 1),
     "reflection_product": lambda v: reflection_product(v, []),
     "MinorSpec.rows": lambda v: MinorSpec((v,), (1,)),
     "MinorSpec.cols": lambda v: MinorSpec((2,), (v,)),

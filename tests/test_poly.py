@@ -1,4 +1,5 @@
-"""Polynomial arithmetic, the Poisson structure, and Jacobian ranks."""
+"""Polynomial arithmetic, the structure constants, and the test
+references for derivatives, generator brackets and Jacobian ranks."""
 
 import random
 from fractions import Fraction
@@ -12,14 +13,15 @@ from regfactor import (
     Polynomial,
     bracket_single,
     close_ideal,
-    jacobian_rank,
-    poisson_bracket_generator,
     positive_roots,
 )
 from helpers import (
     assert_int_coefficients,
+    derivative,
+    jacobian_rank,
     n7_ideal,
     poisson_bracket,
+    poisson_bracket_generator,
     random_polynomial,
     reduce_mod_ideal,
     y,
@@ -108,9 +110,17 @@ def test_numbers_must_be_int():
 def test_integer_work_stays_int():
     p = (2 * y(3, 1) - y(2, 1) * y(3, 2)) ** 2
     assert_int_coefficients(p)
-    assert_int_coefficients(p.derivative((3, 1)))
+    assert_int_coefficients(derivative(p, (3, 1)))
     assert type(p.evaluate({(3, 1): 2, (2, 1): 1, (3, 2): 3})) is int
     assert type(Polynomial.zero().evaluate({})) is int
+
+
+def test_constants_hash_as_their_ints():
+    # equal objects hash alike, so a constant and its int are one set member
+    assert len({Polynomial.constant(3), 3}) == 1
+    assert len({Polynomial.zero(), 0}) == 1
+    assert hash(Polynomial.constant(-7)) == hash(-7)
+    assert len({y(2, 1), 2 * y(2, 1), y(2, 1) + 0}) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,10 +150,10 @@ def test_canonical_string_injective(p, q):
 
 def test_derivative():
     p = y(3, 1) ** 2 * y(2, 1) + 4 * y(3, 2)
-    assert p.derivative((3, 1)) == 2 * y(3, 1) * y(2, 1)
-    assert p.derivative((2, 1)) == y(3, 1) ** 2
-    assert p.derivative((3, 2)) == 4
-    assert p.derivative((4, 3)).is_zero
+    assert derivative(p, (3, 1)) == 2 * y(3, 1) * y(2, 1)
+    assert derivative(p, (2, 1)) == y(3, 1) ** 2
+    assert derivative(p, (3, 2)) == 4
+    assert derivative(p, (4, 3)).is_zero
 
 
 # --- evaluation --------------------------------------------------------------

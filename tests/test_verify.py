@@ -26,22 +26,26 @@ from regfactor import (
     coadjoint_act,
     full_report,
     oracle_invariants,
-    poisson_bracket_generator,
     positive_roots,
     skew_rank_stats,
 )
 from helpers import (
     all_regular_ideals,
     assert_int_coefficients,
+    derivative,
     dual_matrix,
     gauss_jordan,
     group_identity,
     group_inverse,
     group_product,
     in_poly_span,
+    jacobian_rank,
     n7_ideal,
     one_entry_columns,
+    poisson_bracket_generator,
+    prime_point,
     random_ideals,
+    random_polynomial,
     reference_check_invariance,
     reference_coadjoint_act,
     reference_oracle,
@@ -53,7 +57,7 @@ from helpers import (
 
 def test_identity_acts_trivially():
     ideal = n7_ideal()
-    point = DualPoint.prime_point(ideal)
+    point = prime_point(ideal)
     assert coadjoint_act(group_identity(7), point).coords == point.coords
 
 
@@ -186,12 +190,12 @@ def test_dual_point_validation():
     ideal = n7_ideal()
     with pytest.raises(InputError):
         DualPoint(ideal, {(2, 1): Fraction(1)})
-    values = dict(DualPoint.prime_point(ideal).coords)
+    values = dict(prime_point(ideal).coords)
     for bad in (2.0, Fraction(2), True):
         values[(4, 1)] = bad
         with pytest.raises(InputError, match="^point coordinates must be integers$"):
             DualPoint(ideal, values)
-    point = DualPoint.prime_point(ideal)
+    point = prime_point(ideal)
     matrix = dual_matrix(point)
     assert matrix[0][3] == point.coords[(4, 1)]  # row t=1, column k=4
     assert matrix[0][4] == 0  # (5,1) is an ideal cell
@@ -220,6 +224,66 @@ def test_check_invariance_flags_non_invariant_probe():
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "6e58a7bfba6f9b61b8ab531a8ef85fb5661bca14bb8d330852e3b72b03630673"
     )
+
+
+def test_compiled_brackets_match_polynomial_brackets():
+    # Random polynomials with powers up to 4 on every regular ideal with
+    # n <= 5: each generator's residual from one pass over the compiled
+    # terms is the bracket built in polynomial arithmetic, and the Poisson
+    # witness of a probe is that bracket at the first nonzero generator.
+    rng = random.Random(18)
+    powers = nonzero = 0
+    for n in range(2, 6):
+        for ideal in all_regular_ideals(n):
+            free = ideal.free_roots()
+            if not free:
+                continue
+            position = {root: k for k, root in enumerate(free)}
+            moves = verify._generator_moves(ideal)
+            assert list(moves) == [i for i in range(1, n) if (i + 1, i) not in ideal]
+            record = all_invariants(ideal)[0]
+            for _ in range(4):
+                p = random_polynomial(rng, free, max_terms=6, max_factors=4)
+                powers += any(e >= 2 for mono in p.terms for _, e in mono)
+                first = None
+                for i in range(1, n):
+                    expected = poisson_bracket_generator(i, p, ideal)
+                    residual = verify._bracket(verify._compile(p, position), moves.get(i, {}))
+                    found = Polynomial({verify._monomial([free[k] for k in spots]): c
+                                        for spots, c in residual.items()})
+                    assert found == expected, (sorted(ideal.roots), str(p), i)
+                    if first is None and not expected.is_zero:
+                        first = {"xi": list(record.xi), "generator": i, "residual": str(expected)}
+                nonzero += first is not None
+                probe = dataclasses.replace(record, invariant=p)
+                check = check_invariance([probe], ideal, trials=1).checks[0]
+                assert check.witness == first, (sorted(ideal.roots), str(p))
+    assert powers > 100 and nonzero > 100
+
+
+def test_compiled_jacobian_matches_polynomial_derivatives():
+    # The records, random polynomials with powers, and squares, on every
+    # regular ideal with n <= 5 and the n=7 reference: the gradient from one
+    # pass over the compiled terms is every derivative built and evaluated
+    # as a polynomial, and the rank of those rows is the reference Jacobian
+    # rank, at the prime point and at seeded points.
+    rng = random.Random(19)
+    ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
+    for k, ideal in enumerate(ideals):
+        free = ideal.free_roots()
+        position = {root: p for p, root in enumerate(free)}
+        polys = [r.invariant for r in all_invariants(ideal)]
+        if free:
+            polys += [random_polynomial(rng, free, max_factors=4) for _ in range(2)]
+            polys += [p * p for p in polys[:2]]
+        points = [prime_point(ideal)]
+        points += [DualPoint.random(ideal, random.Random(k + t)) for t in range(3)]
+        for point in points:
+            x = [point.coords[root] for root in free]
+            rows = [verify._gradient(verify._compile(p, position), x) for p in polys]
+            for p, row in zip(polys, rows):
+                assert row == [derivative(p, root).evaluate(point.coords) for root in free]
+            assert linalg.rank(rows) == jacobian_rank(polys, point.coords), sorted(ideal.roots)
 
 
 def _trials_doc(records, ideal, trials, seed):
@@ -612,6 +676,14 @@ def test_full_reports_of_every_n7_ideal_pass():
         assert report.passed, (sorted(ideal.roots), report.lines())
 
 
+@pytest.mark.slow
+def test_full_reports_of_every_n8_ideal_pass():
+    # Every check at default settings on all 1430 regular ideals with n=8.
+    for ideal in all_regular_ideals(8):
+        report = full_report(ideal)
+        assert report.passed, (sorted(ideal.roots), report.lines())
+
+
 def test_oracle_first_round_is_the_one_entry_equations():
     # The support walk keeps exactly the monomials that no one-entry
     # equation forces, and only those build equations.
@@ -628,8 +700,6 @@ def test_oracle_first_round_is_the_one_entry_equations():
 
 
 def test_oracle_members_are_invariant():
-    from regfactor import poisson_bracket_generator
-
     ideal = close_ideal(4, [(3, 1)])
     for p in oracle_invariants(ideal, 3):
         for i in range(1, 4):

@@ -1,5 +1,7 @@
 """Permutations, reflection products, chains, and segment data."""
 
+from fractions import Fraction
+
 import pytest
 
 from regfactor import (
@@ -39,6 +41,10 @@ def test_permutation_basics():
     assert not p.sends_positive((3, 1))
     with pytest.raises(InputError):
         Permutation((1, 1, 2))
+    # images equal to 1..n as numbers but not ints are not coerced
+    for images in ((1.0, 2.0), (True, 2), (Fraction(2), 1)):
+        with pytest.raises(InputError, match="^permutation entries must be integers"):
+            Permutation(images)
 
 
 def test_column_max_permutation_examples():

@@ -17,9 +17,7 @@ from .invariants import (
     triangular_decomposition,
 )
 from .minors import (
-    CharMatrix,
     MinorSpec,
-    characteristic_matrix,
     enumerate_extremal,
     is_extremal,
     minor_degree,
@@ -64,8 +62,8 @@ __all__ = [
     "Diagram", "DiagramCounts", "Symbol", "build_diagram", "crosscheck_symbols",
     "BudgetError", "ConstructionError", "InputError", "RegFactorError",
     "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
-    "CharMatrix", "MinorSpec", "characteristic_matrix", "enumerate_extremal",
-    "is_extremal", "minor_degree", "minor_lambda", "minor_top", "shift_spec",
+    "MinorSpec", "enumerate_extremal", "is_extremal", "minor_degree", "minor_lambda",
+    "minor_top", "shift_spec",
     "LambdaPolynomial", "Polynomial", "bracket_single",
     "RegularIdeal", "Root", "close_ideal", "positive_roots", "prec_key",
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",

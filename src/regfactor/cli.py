@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .diagram import build_diagram
 from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
 from .invariants import all_invariants
-from .minors import characteristic_matrix, enumerate_extremal, minor_degree
+from .minors import enumerate_extremal, minor_degree
 from .roots import RegularIdeal, close_ideal
 from .verify import full_report, oracle_invariants, skew_rank_stats
 from .weyl import column_max_permutation, inversions, reflection_product
@@ -130,12 +130,10 @@ def cmd_verify(ideal: RegularIdeal, args) -> int:
 
 def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
     specs = enumerate_extremal(ideal, max_size=args.max_size, budget=args.budget)
-    matrix = characteristic_matrix(ideal)
-    entries = []
-    for spec in specs:
-        entries.append(
-            {**spec.to_json(), "degree": minor_degree(matrix, spec), "extremal": True}
-        )
+    entries = [
+        {**spec.to_json(), "degree": minor_degree(ideal, spec), "extremal": True}
+        for spec in specs
+    ]
     text = "\n".join(
         f"rows={e['rows']} cols={e['cols']} degree={e['degree']}" for e in entries
     )

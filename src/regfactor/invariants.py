@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import weyl
 from .diagram import Diagram, build_diagram
 from .errors import ConstructionError, InputError
-from .minors import CharMatrix, MinorSpec, characteristic_matrix, is_extremal, minor_top
+from .minors import MinorSpec, is_extremal, minor_top
 from .poly import Polynomial
 from .roots import RegularIdeal, Root
 
@@ -57,14 +57,14 @@ class InvariantRecord:
 
 
 def _record(
-    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, matrix: CharMatrix, column
+    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, column
 ) -> InvariantRecord:
     """Assemble the record for one cross, checking every structural
     expectation along the way (raises ConstructionError on violation).
     ``column`` holds the per-column reflection products of ``crosses``."""
     xi = data.xi
     spec = MinorSpec(data.rows, data.cols)
-    degree, top = minor_top(matrix, spec)
+    degree, top = minor_top(ideal, spec)
     if degree < 0:
         raise ConstructionError(f"characteristic minor of {xi} vanishes")
     invariant = top.normalize_sign()
@@ -78,7 +78,7 @@ def _record(
             raise ConstructionError(
                 f"minor of {xi} has degree {degree}, segment data predicts {d_star}"
             )
-    if not is_extremal(matrix, spec, degree):
+    if not is_extremal(ideal, spec, degree):
         raise ConstructionError(f"characteristic minor of {xi} is not extremal")
     return InvariantRecord(
         xi=xi,
@@ -92,19 +92,12 @@ def _record(
     )
 
 
-def invariant_for(
-    ideal: RegularIdeal,
-    crosses: Sequence[Root],
-    xi: Root,
-    matrix: Optional[CharMatrix] = None,
-) -> InvariantRecord:
+def invariant_for(ideal: RegularIdeal, crosses: Sequence[Root], xi: Root) -> InvariantRecord:
     """The record of one cross ``xi`` of ``crosses`` (raises InputError when
     it is not one, ConstructionError on a structural violation)."""
-    if matrix is None:
-        matrix = characteristic_matrix(ideal)
     for data in weyl.cross_data(ideal.n, crosses):
         if data.xi == tuple(xi):
-            return _record(ideal, crosses, data, matrix, weyl._column_products(ideal.n, crosses))
+            return _record(ideal, crosses, data, weyl._column_products(ideal.n, crosses))
     raise InputError(f"{xi} is not a cross of the diagram")
 
 
@@ -115,10 +108,9 @@ def all_invariants(
     ``diagram`` may pass in the ideal's already built diagram."""
     if diagram is None:
         diagram = build_diagram(ideal)
-    matrix = characteristic_matrix(ideal)
     column = weyl._column_products(ideal.n, diagram.crosses)
     return [
-        _record(ideal, diagram.crosses, data, matrix, column)
+        _record(ideal, diagram.crosses, data, column)
         for data in weyl.cross_data(ideal.n, diagram.crosses)
     ]
 

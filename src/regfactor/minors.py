@@ -3,8 +3,10 @@
 The formal matrix carries a root variable on every strictly lower cell
 outside the ideal, zero on ideal cells and on or above the diagonal; the
 characteristic version subtracts the auxiliary variable on the diagonal.
-A minor is extremal when its degree strictly drops under every one-step
-row-down and column-left shift.
+The matrix itself is never built: every minor function takes the ideal, and
+``_row_cells`` reads the selected cells off it.  A minor is extremal when
+its degree strictly drops under every one-step row-down and column-left
+shift.
 
 Every nonzero off-diagonal cell carries its own variable, so distinct
 permutations give distinct monomials and a minor has no cancellation.  Its
@@ -53,43 +55,16 @@ class MinorSpec:
         return {"rows": list(self.rows), "cols": list(self.cols)}
 
 
-@dataclass(frozen=True)
-class CharMatrix:
-    """The characteristic matrix attached to a regular ideal."""
-
-    ideal: RegularIdeal
-
-    @property
-    def n(self) -> int:
-        return self.ideal.n
-
-    def entry(self, i: int, j: int) -> LambdaPolynomial:
-        require_ints((i, j), "entry indices must be integers: ({!r},{!r})", i, j)
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise InputError(f"entry ({i},{j}) outside a {self.n}x{self.n} matrix")
-        if i == j:
-            return LambdaPolynomial.lam(-1)
-        if i < j or (i, j) in self.ideal:
-            return LambdaPolynomial.zero()
-        return LambdaPolynomial.of_poly(Polynomial.variable((i, j)))
-
-
-def characteristic_matrix(ideal: RegularIdeal) -> CharMatrix:
-    """Build the characteristic matrix for ``ideal``."""
-    return CharMatrix(ideal)
-
-
-def _check_fits(matrix: CharMatrix, spec: MinorSpec) -> None:
-    n = matrix.n
+def _check_fits(ideal: RegularIdeal, spec: MinorSpec) -> None:
+    n = ideal.n
     if spec.rows and (spec.rows[-1] > n or spec.cols[-1] > n):
         raise InputError(f"minor {spec} does not fit a {n}x{n} matrix")
 
 
-def _row_cells(matrix: CharMatrix, spec: MinorSpec) -> list[list[tuple[int, Optional[Root]]]]:
+def _row_cells(ideal: RegularIdeal, spec: MinorSpec) -> list[list[tuple[int, Optional[Root]]]]:
     """Nonzero cells of the minor, row by row, as (column index, root); the
     root is None on a diagonal cell."""
-    _check_fits(matrix, spec)
-    ideal = matrix.ideal
+    _check_fits(ideal, spec)
     return [
         [
             (c, None if i == j else (i, j))
@@ -123,21 +98,21 @@ def _tail_degrees(cells: list[list[tuple[int, Optional[Root]]]]) -> dict[int, in
     return tail
 
 
-def minor_degree(matrix: CharMatrix, spec: MinorSpec) -> int:
+def minor_degree(ideal: RegularIdeal, spec: MinorSpec) -> int:
     """Degree of the minor in the auxiliary variable; -1 for a zero minor."""
-    return _tail_degrees(_row_cells(matrix, spec)).get((1 << spec.size) - 1, -1)
+    return _tail_degrees(_row_cells(ideal, spec)).get((1 << spec.size) - 1, -1)
 
 
-def minor_top(matrix: CharMatrix, spec: MinorSpec) -> tuple[int, Polynomial]:
+def minor_top(ideal: RegularIdeal, spec: MinorSpec) -> tuple[int, Polynomial]:
     """Degree and highest coefficient of the minor, equal to
-    ``minor_lambda(matrix, spec).degree`` and ``.leading()``; (-1, 0) for a
+    ``minor_lambda(ideal, spec).degree`` and ``.leading()``; (-1, 0) for a
     zero minor.
 
     Forward pass over rows: a partial matching survives only while the
     backward pass says its remaining rows can still reach the degree, so
     every kept term ends in the highest coefficient.
     """
-    cells = _row_cells(matrix, spec)
+    cells = _row_cells(ideal, spec)
     tail = _tail_degrees(cells)
     full = (1 << len(cells)) - 1
     degree = tail.get(full, -1)
@@ -167,10 +142,10 @@ def minor_top(matrix: CharMatrix, spec: MinorSpec) -> tuple[int, Polynomial]:
     )
 
 
-def minor_lambda(matrix: CharMatrix, spec: MinorSpec) -> LambdaPolynomial:
+def minor_lambda(ideal: RegularIdeal, spec: MinorSpec) -> LambdaPolynomial:
     """Exact determinant of the selected submatrix of the characteristic
     matrix, expanded over column subsets."""
-    cells = _row_cells(matrix, spec)
+    cells = _row_cells(ideal, spec)
     m = spec.size
     if m == 0:
         return LambdaPolynomial.of_poly(Polynomial.constant(1))
@@ -224,20 +199,20 @@ def shift_spec(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorS
     raise InputError(f"unknown shift direction {direction!r}")
 
 
-def is_extremal(matrix: CharMatrix, spec: MinorSpec, degree: Optional[int] = None) -> bool:
+def is_extremal(ideal: RegularIdeal, spec: MinorSpec, degree: Optional[int] = None) -> bool:
     """Whether the minor's degree strictly drops under every shift.
 
     Vanishing or impossible shifts count as a drop; a zero minor itself is
     rejected as input.  ``degree`` may pass in the minor's known degree.
     """
     if degree is None:
-        degree = minor_degree(matrix, spec)
+        degree = minor_degree(ideal, spec)
     if degree < 0:
         raise InputError(f"minor {spec} is zero; extremality is undefined")
-    for i in range(1, matrix.n):
+    for i in range(1, ideal.n):
         for direction in ("down", "left"):
             shifted = shift_spec(spec, i, direction)
-            if shifted is not None and minor_degree(matrix, shifted) >= degree:
+            if shifted is not None and minor_degree(ideal, shifted) >= degree:
                 return False
     return True
 
@@ -264,7 +239,6 @@ def enumerate_extremal(
     if budget < 0:
         raise InputError("budget must be at least 0")
     n = ideal.n
-    matrix = characteristic_matrix(ideal)
     max_size = n if max_size is None else min(max_size, n)
     results: list[MinorSpec] = []
     examined = 0
@@ -278,9 +252,9 @@ def enumerate_extremal(
                         partial=results,
                     )
                 spec = MinorSpec(rows, cols)
-                value = minor_lambda(matrix, spec)
+                value = minor_lambda(ideal, spec)
                 if value.is_zero or value.degree == size:
                     continue
-                if is_extremal(matrix, spec, value.degree):
+                if is_extremal(ideal, spec, value.degree):
                     results.append(spec)
     return results

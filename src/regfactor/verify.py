@@ -325,11 +325,29 @@ def check_invariance(
     reproduces from the seed.
     """
     _check_trials(trials, seed)
+    return _check_compiled(records, _compile_records(records, ideal), ideal, trials, seed)
+
+
+def _compile_records(
+    records: Sequence[InvariantRecord], ideal: RegularIdeal
+) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Each record's invariant compiled over ``ideal.free_roots()``."""
+    position = {root: p for p, root in enumerate(ideal.free_roots())}
+    return [_compile(record.invariant, position) for record in records]
+
+
+def _check_compiled(
+    records: Sequence[InvariantRecord],
+    compiled: list[list[tuple[int, tuple[int, ...]]]],
+    ideal: RegularIdeal,
+    trials: int,
+    seed: int,
+) -> VerificationReport:
+    """``check_invariance`` on records already compiled by
+    ``_compile_records``, with ``trials`` and ``seed`` already checked."""
     n = ideal.n
     report = VerificationReport()
     free = ideal.free_roots()
-    position = {root: p for p, root in enumerate(free)}
-    compiled = [_compile(record.invariant, position) for record in records]
     moves = _generator_moves(ideal)
 
     witness = None
@@ -960,8 +978,11 @@ def full_report(
     run("invariant_records", check_records)
     records_ok = report.checks[-1].status == "pass"
 
+    # Compiled once: Poisson annihilation, the trials and the Jacobian rows
+    # all read these terms.
+    compiled = _compile_records(records, ideal) if records_ok else []
     if records_ok:
-        report.extend(check_invariance(records, ideal, trials=trials, seed=seed))
+        report.extend(_check_compiled(records, compiled, ideal, trials, seed))
     else:
         report.checks.append(
             CheckResult("poisson_annihilation", "skipped", detail="no records")
@@ -989,10 +1010,8 @@ def full_report(
     def check_jacobian():
         # The gradients at the distinct-prime point, one column per free
         # root; a column of a variable no record uses is zero.
-        free = ideal.free_roots()
-        position = {root: p for p, root in enumerate(free)}
-        x = _primes(len(free))
-        found = linalg.rank([_gradient(_compile(r.invariant, position), x) for r in records])
+        x = _primes(len(ideal.free_roots()))
+        found = linalg.rank([_gradient(terms, x) for terms in compiled])
         if found != len(records):
             raise ConstructionError(
                 f"Jacobian rank {found} differs from the cross count {len(records)}"

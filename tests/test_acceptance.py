@@ -16,7 +16,6 @@ from regfactor import (
     MinorSpec,
     all_invariants,
     build_diagram,
-    characteristic_matrix,
     check_invariance,
     close_ideal,
     column_max_permutation,
@@ -128,12 +127,11 @@ def test_criterion_3_reference_invariants():
             assert_unit_coefficients(record.invariant)
 
         # the printed variant of the fourth minor: rows {2,3,4,7}
-        matrix = characteristic_matrix(ideal)
         spec = MinorSpec((2, 3, 4, 7), (1, 2, 3, 4))
-        value = minor_lambda(matrix, spec)
+        value = minor_lambda(ideal, spec)
         top = value.coefficient(value.degree)
         assert top == y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
-        assert is_extremal(matrix, spec, value.degree)
+        assert is_extremal(ideal, spec, value.degree)
         for i in range(1, 7):
             assert poisson_bracket_generator(i, top, ideal).is_zero
         probe = dataclasses.replace(records[3], invariant=top)
@@ -146,7 +144,6 @@ def test_criterion_4_corner_minors_baseline():
             ideal = close_ideal(n, [])
             records = all_invariants(ideal)
             assert len(records) == n // 2
-            matrix = characteristic_matrix(ideal)
             corners = []
             for size in range(1, n // 2 + 1):
                 rows = tuple(range(n - size + 1, n + 1))
@@ -154,7 +151,7 @@ def test_criterion_4_corner_minors_baseline():
                 coeffs = naive_minor(ideal, rows, cols)
                 assert len(coeffs) == 1
                 corners.append(coeffs[0])
-                assert is_extremal(matrix, MinorSpec(rows, cols))
+                assert is_extremal(ideal, MinorSpec(rows, cols))
             for record, corner in zip(records, corners):
                 assert record.invariant in (corner, -corner)
                 assert_unit_coefficients(record.invariant)
@@ -224,19 +221,17 @@ def test_criterion_9_determinant_oracle():
         # exhaustive over every spec for n <= 5
         for n in range(2, 6):
             for ideal in (close_ideal(n, []), random_ideal(rng, n=n)):
-                matrix = characteristic_matrix(ideal)
                 for size in range(1, n + 1):
                     for rows in itertools.combinations(range(1, n + 1), size):
                         for cols in itertools.combinations(range(1, n + 1), size):
-                            value = minor_lambda(matrix, MinorSpec(rows, cols))
+                            value = minor_lambda(ideal, MinorSpec(rows, cols))
                             assert list(value.coeffs) == naive_minor(ideal, rows, cols)
         # 500 random specs for n <= 8
         for _ in range(500):
             n = rng.randint(2, 8)
             ideal = random_ideal(rng, n=n)
-            matrix = characteristic_matrix(ideal)
             size = rng.randint(1, n)
             rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
             cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
-            value = minor_lambda(matrix, MinorSpec(rows, cols))
+            value = minor_lambda(ideal, MinorSpec(rows, cols))
             assert list(value.coeffs) == naive_minor(ideal, rows, cols)

@@ -1,4 +1,4 @@
-"""Characteristic matrix, minors, shifts, extremality, and the scan."""
+"""Minors of the characteristic matrix, shifts, extremality, and the scan."""
 
 import random
 
@@ -10,7 +10,6 @@ from regfactor import (
     LambdaPolynomial,
     MinorSpec,
     Polynomial,
-    characteristic_matrix,
     close_ideal,
     enumerate_extremal,
     is_extremal,
@@ -33,10 +32,15 @@ from helpers import (
 )
 
 
+def _char_cell(i, j, phi_cell):
+    """Cell (i, j) of the characteristic matrix, from Phi's cell: minus the
+    auxiliary variable on the diagonal, Phi's cell off it."""
+    return LambdaPolynomial.lam(-1) if i == j else LambdaPolynomial.of_poly(phi_cell)
+
+
 def test_phi_pattern_reference():
     ideal = n7_ideal()
     phi = phi_matrix(ideal)
-    matrix = characteristic_matrix(ideal)
     for i in range(1, 8):
         for j in range(1, 8):
             cell = phi[i - 1][j - 1]
@@ -44,8 +48,7 @@ def test_phi_pattern_reference():
                 assert cell.is_zero
             else:
                 assert cell == y(i, j)
-            if i != j:
-                assert matrix.entry(i, j) == LambdaPolynomial.of_poly(cell)
+            assert minor_lambda(ideal, MinorSpec((i,), (j,))) == _char_cell(i, j, cell)
     # zeros precisely at the ideal inside the strict lower triangle
     zero_cells = {
         (i, j)
@@ -61,21 +64,20 @@ def test_phi_small_cases():
     assert phi[0][0].is_zero and phi[0][1].is_zero and phi[1][1].is_zero
     assert phi[1][0] == y(2, 1)
     full = close_ideal(3, positive_roots(3))
-    assert all(c.is_zero for row in phi_matrix(full) for c in row)
-    matrix = characteristic_matrix(full)
+    phi = phi_matrix(full)
+    assert all(c.is_zero for row in phi for c in row)
     assert all(
-        matrix.entry(i, j) == LambdaPolynomial.zero()
+        minor_lambda(full, MinorSpec((i,), (j,))) == _char_cell(i, j, phi[i - 1][j - 1])
         for i in range(1, 4)
         for j in range(1, 4)
-        if i != j
     )
 
 
 def test_minor_reference_four_by_four():
     # rows {2,3,4,7} x cols {1,2,3,4} of the n=7 instance, expanded by hand
-    matrix = characteristic_matrix(n7_ideal())
+    ideal = n7_ideal()
     spec = MinorSpec((2, 3, 4, 7), (1, 2, 3, 4))
-    value = minor_lambda(matrix, spec)
+    value = minor_lambda(ideal, spec)
     assert value.degree == 2
     assert value.coefficient(2) == y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
     assert value.coefficient(1) == (
@@ -84,13 +86,13 @@ def test_minor_reference_four_by_four():
         + y(7, 4) * y(3, 1) * y(4, 3)
     )
     assert value.coefficient(0) == y(7, 4) * y(2, 1) * y(3, 2) * y(4, 3)
-    assert minor_degree(matrix, spec) == 2
-    assert minor_top(matrix, spec) == (2, y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1))
+    assert minor_degree(ideal, spec) == 2
+    assert minor_top(ideal, spec) == (2, y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1))
 
 
 def test_minor_reference_three_by_three():
-    matrix = characteristic_matrix(n7_ideal())
-    value = minor_lambda(matrix, MinorSpec((5, 6, 7), (2, 3, 4)))
+    ideal = n7_ideal()
+    value = minor_lambda(ideal, MinorSpec((5, 6, 7), (2, 3, 4)))
     assert value.degree == 0
     expected = (
         y(5, 2) * y(6, 3) * y(7, 4)
@@ -102,8 +104,8 @@ def test_minor_reference_three_by_three():
 
 
 def test_minor_diagonal_cell():
-    matrix = characteristic_matrix(close_ideal(4, []))
-    value = minor_lambda(matrix, MinorSpec((2,), (2,)))
+    ideal = close_ideal(4, [])
+    value = minor_lambda(ideal, MinorSpec((2,), (2,)))
     assert value.degree == 1
     assert value.coefficient(1) == Polynomial.constant(-1)
     assert value.coefficient(0).is_zero
@@ -114,13 +116,13 @@ def test_minor_input_errors():
         MinorSpec((1, 2), (1,))
     with pytest.raises(InputError):
         MinorSpec((2, 1), (1, 2))
-    matrix = characteristic_matrix(close_ideal(3, []))
+    ideal = close_ideal(3, [])
     with pytest.raises(InputError):
-        minor_lambda(matrix, MinorSpec((4,), (1,)))
+        minor_lambda(ideal, MinorSpec((4,), (1,)))
     with pytest.raises(InputError):
-        minor_top(matrix, MinorSpec((1,), (4,)))
+        minor_top(ideal, MinorSpec((1,), (4,)))
     with pytest.raises(InputError):
-        minor_degree(matrix, MinorSpec((4,), (1,)))
+        minor_degree(ideal, MinorSpec((4,), (1,)))
 
 
 def test_shift_examples():
@@ -137,11 +139,11 @@ def test_shift_examples():
 
 
 def test_is_extremal_examples():
-    n7 = characteristic_matrix(n7_ideal())
+    n7 = n7_ideal()
     assert is_extremal(n7, MinorSpec((5, 6, 7), (2, 3, 4)))
-    free3 = characteristic_matrix(close_ideal(3, []))
+    free3 = close_ideal(3, [])
     assert not is_extremal(free3, MinorSpec((2,), (1,)))
-    free2 = characteristic_matrix(close_ideal(2, []))
+    free2 = close_ideal(2, [])
     assert is_extremal(free2, MinorSpec((2,), (1,)))
     with pytest.raises(InputError):
         is_extremal(free3, MinorSpec((1,), (2,)))  # zero minor
@@ -175,12 +177,11 @@ def test_minor_agrees_with_permutation_sum_small():
     rng = random.Random(41)
     for n in (2, 3, 4):
         for ideal in (close_ideal(n, []), random_ideal(rng, n=n)):
-            matrix = characteristic_matrix(ideal)
             indices = range(1, n + 1)
             for size in range(1, n + 1):
                 for rows in itertools.combinations(indices, size):
                     for cols in itertools.combinations(indices, size):
-                        value = minor_lambda(matrix, MinorSpec(rows, cols))
+                        value = minor_lambda(ideal, MinorSpec(rows, cols))
                         expected = naive_minor(ideal, rows, cols)
                         assert list(value.coeffs) == expected
 
@@ -190,20 +191,19 @@ def test_degree_bounded_by_diagonal_overlap():
     for _ in range(40):
         ideal = random_ideal(rng, n_max=7)
         n = ideal.n
-        matrix = characteristic_matrix(ideal)
         size = rng.randint(1, n)
         rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
         cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        value = minor_lambda(matrix, MinorSpec(rows, cols))
+        value = minor_lambda(ideal, MinorSpec(rows, cols))
         overlap = len(set(rows) & set(cols))
         assert value.degree <= overlap
 
 
 def test_empty_spec_is_the_unit():
-    matrix = characteristic_matrix(close_ideal(3, []))
-    value = minor_lambda(matrix, MinorSpec((), ()))
+    ideal = close_ideal(3, [])
+    value = minor_lambda(ideal, MinorSpec((), ()))
     assert value == LambdaPolynomial.of_poly(Polynomial.constant(1))
-    assert minor_top(matrix, MinorSpec((), ())) == (0, Polynomial.constant(1))
+    assert minor_top(ideal, MinorSpec((), ())) == (0, Polynomial.constant(1))
 
 
 def test_matching_kernel_exhaustive_small():
@@ -213,15 +213,14 @@ def test_matching_kernel_exhaustive_small():
 
     for n in range(1, 6):
         for ideal in all_regular_ideals(n):
-            matrix = characteristic_matrix(ideal)
             indices = range(1, n + 1)
             for size in range(1, n + 1):
                 for rows in itertools.combinations(indices, size):
                     for cols in itertools.combinations(indices, size):
                         spec = MinorSpec(rows, cols)
                         expected = naive_minor(ideal, rows, cols)
-                        degree, top = minor_top(matrix, spec)
-                        assert degree == len(expected) - 1 == minor_degree(matrix, spec)
+                        degree, top = minor_top(ideal, spec)
+                        assert degree == len(expected) - 1 == minor_degree(ideal, spec)
                         if expected:
                             assert top == expected[-1]
                             assert_unit_coefficients(top)
@@ -235,9 +234,63 @@ def test_extremal_top_coefficients_are_invariant():
     # every regular ideal with n <= 5 and on the n=7 reference
     ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
     for ideal in ideals:
-        matrix = characteristic_matrix(ideal)
         for spec in enumerate_extremal(ideal, max_size=3, budget=100000):
-            top = minor_lambda(matrix, spec).leading()
+            top = minor_lambda(ideal, spec).leading()
+            for i in range(1, ideal.n):
+                residual = poisson_bracket_generator(i, top, ideal)
+                assert residual.is_zero, (ideal_doc(ideal), spec, i)
+
+
+def _reference_extremal(ideal):
+    """Every extremal minor with a nonconstant highest coefficient, in
+    canonical order, from permutation-sum degrees alone: a spec is kept when
+    its degree is neither -1 nor its size and strictly beats the degree of
+    every one-step row-down and column-left shift inside the matrix."""
+    import itertools
+
+    n = ideal.n
+    degrees = {}
+
+    def degree(rows, cols):
+        if (rows, cols) not in degrees:
+            degrees[rows, cols] = len(naive_minor(ideal, rows, cols)) - 1
+        return degrees[rows, cols]
+
+    def shifts(rows, cols):
+        for i in rows:
+            if i < n and i + 1 not in rows:
+                yield tuple(sorted(set(rows) - {i} | {i + 1})), cols
+        for j in cols:
+            if j > 1 and j - 1 not in cols:
+                yield rows, tuple(sorted(set(cols) - {j} | {j - 1}))
+
+    found = []
+    for size in range(1, n + 1):
+        for rows in itertools.combinations(range(1, n + 1), size):
+            for cols in itertools.combinations(range(1, n + 1), size):
+                d = degree(rows, cols)
+                if d in (-1, size):
+                    continue
+                if all(degree(*shifted) < d for shifted in shifts(rows, cols)):
+                    found.append(MinorSpec(rows, cols))
+    return found
+
+
+def test_extremal_scan_is_complete():
+    # every regular ideal with n <= 5 (1009 extremal minors in all): the scan
+    # finds exactly the specs the permutation-sum reference keeps
+    for n in range(1, 6):
+        for ideal in all_regular_ideals(n):
+            assert enumerate_extremal(ideal) == _reference_extremal(ideal), ideal_doc(ideal)
+
+
+@pytest.mark.slow
+def test_extremal_top_coefficients_are_invariant_n6():
+    # Theorem 2.5 on every n=6 ideal: the highest coefficient of every
+    # extremal minor of size <= 3 is annihilated by every generator bracket
+    for ideal in all_regular_ideals(6):
+        for spec in enumerate_extremal(ideal, max_size=3):
+            _, top = minor_top(ideal, spec)
             for i in range(1, ideal.n):
                 residual = poisson_bracket_generator(i, top, ideal)
                 assert residual.is_zero, (ideal_doc(ideal), spec, i)

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import ConstructionError, require_ints
 from .roots import RegularIdeal, Root, positive_roots
-from .weyl import reflection_product
+from .weyl import _reflection_product
 
 
 class Symbol(enum.Enum):
@@ -135,7 +135,7 @@ def crosscheck_symbols(ideal: RegularIdeal, diagram: Optional[Diagram] = None) -
     n = ideal.n
     cross_set = set(diagram.crosses)
     products = [
-        reflection_product(n, [r for r in diagram.crosses if r[1] <= t]) for t in range(n)
+        _reflection_product(n, [r for r in diagram.crosses if r[1] <= t]) for t in range(n)
     ]
     for eta in positive_roots(n):
         before = products[eta[1] - 1].sends_positive(eta)

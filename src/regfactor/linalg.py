@@ -89,7 +89,13 @@ def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
     equation list still knows the ambient dimension.
     """
     require_ints((n_cols,), "n_cols must be an integer, got {!r}", n_cols)
-    m = _integer_rows(rows, n_cols)
+    return _kernel(_integer_rows(rows, n_cols), n_cols)
+
+
+def _kernel(m: list[list[int]], n_cols: int) -> list[list[int]]:
+    """``nullspace`` of rows the library built itself, with none of its
+    checks: every row of ``m`` is a list of ``n_cols`` ints.  ``m`` is
+    reduced in place."""
     pivots = _eliminate(m, n_cols)
     d = m[0][pivots[0]] if pivots else 1
     basis = []

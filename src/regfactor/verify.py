@@ -605,6 +605,10 @@ def _rank_bound(table: list[tuple[int, int, int, int]], dim: int) -> int:
     return size // 2 * 2
 
 
+# Per weight code of the oracle: its kept monomials and kernel vectors.
+_Blocks = dict[int, tuple[list[Monomial], list[list[int]]]]
+
+
 def _oracle_size(ideal: RegularIdeal, max_degree: int) -> int:
     """Number of nonconstant monomials of degree <= ``max_degree`` the oracle scans."""
     variables = len(ideal.free_roots())
@@ -619,15 +623,41 @@ def oracle_invariants(
     """Brute-force basis of all polynomial invariants up to ``max_degree``.
 
     Solves for the exact kernel of every subdiagonal generator bracket on
-    the span of non-constant monomials.  Generator brackets shift the torus
-    weight of a monomial, so the kernel splits across weight components and
-    each component is solved independently.  Basis elements come back with
-    integer coprime coefficients and positive leading term.  Raises
-    InputError when ``max_degree`` or ``budget`` is not an int, when
-    ``max_degree`` is below 1 or ``budget`` below 0, and BudgetError when
-    there are more than ``budget`` monomials.
+    the span of non-constant monomials, one torus weight at a time
+    (``_oracle_blocks``).  Basis elements come back with integer coprime
+    coefficients and positive leading term, sorted by degree and then by
+    their strings.  Raises InputError when ``max_degree`` or ``budget`` is
+    not an int, when ``max_degree`` is below 1 or ``budget`` below 0, and
+    BudgetError when there are more than ``budget`` monomials.
+    """
+    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
+    require_ints((budget,), "budget must be an integer, got {!r}", budget)
+    if max_degree < 1:
+        raise InputError("max_degree must be at least 1")
+    if budget < 0:
+        raise InputError("budget must be at least 0")
+    total = _oracle_size(ideal, max_degree)
+    if total > budget:
+        raise BudgetError(
+            f"oracle would scan {total} monomials, budget is {budget}"
+        )
+    basis = [
+        Polynomial(dict(zip(monos, vector))).normalize_sign()
+        for monos, vectors in _oracle_blocks(ideal, max_degree).values()
+        for vector in vectors
+    ]
+    basis.sort(key=lambda p: (p.degree(), str(p)))
+    return basis
 
-    Nearly every coefficient is settled before any elimination.  An
+
+def _oracle_blocks(ideal: RegularIdeal, max_degree: int) -> _Blocks:
+    """The oracle's kernel, one block per torus weight: for each weight code
+    (see ``_oracle_columns``) whose kernel is not zero, the kept monomials in
+    the library's monomial order and the kernel's integer vectors over them.
+
+    Generator brackets shift the torus weight of a monomial, so the kernel
+    splits across weight components and each component is solved on its
+    own.  Nearly every coefficient is settled before any elimination.  An
     equation with one nonzero term forces that monomial's coefficient to
     zero in every kernel vector.  The first round of these reads only a
     monomial's support, so it is settled on supports before any monomial
@@ -650,31 +680,26 @@ def oracle_invariants(
 
     Only the kept columns become ``Monomial`` tuples, and only the remaining
     equations, on the kept columns in the library's monomial order (fewest
-    distinct variables first, then by the tuples), go to
-    ``linalg.nullspace``.  The basis is unchanged by this.  The kernel is
-    the same, with every forced coefficient zero, so a forced column is a
-    pivot column of the reduced row echelon form; each free column then
-    gets the same reduced echelon vector, and the same positive coprime
-    scaling, as from the full system in that order, whatever the order of
-    the rows.
+    distinct variables first, then by the tuples), go to the kernel.  The
+    basis is unchanged by this.  The kernel is the same, with every forced
+    coefficient zero, so a forced column is a pivot column of the reduced
+    row echelon form; each free column then gets the same reduced echelon
+    vector, and the same positive coprime scaling, as from the full system
+    in that order, whatever the order of the rows.  The rows are ints the
+    walk built, so they go to ``linalg._kernel`` without its checks.
     """
-    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
-    require_ints((budget,), "budget must be an integer, got {!r}", budget)
-    if max_degree < 1:
-        raise InputError("max_degree must be at least 1")
-    if budget < 0:
-        raise InputError("budget must be at least 0")
     n = ideal.n
     variables = ideal.free_roots()
-    total = _oracle_size(ideal, max_degree)
-    if total > budget:
-        raise BudgetError(
-            f"oracle would scan {total} monomials, budget is {budget}"
-        )
     moves, groups = _oracle_columns(ideal, max_degree)
-
-    basis: list[Polynomial] = []
-    for members in groups.values():
+    blocks: _Blocks = {}
+    for weight, members in groups.items():
+        if len(members) == 1:
+            # Any move of a lone member is alone in its equation and forces
+            # it; with no move it is the kernel vector [1].
+            (combo, _), = members
+            if not any(moves[k] for k in combo):
+                blocks[weight] = ([_monomial([variables[k] for k in combo])], [[1]])
+            continue
         # One sparse row (column -> coefficient) per generator i and image
         # code.  The bracket with b^e is s*e*(mono/b)*r: one term per copy
         # of b.
@@ -725,11 +750,10 @@ def oracle_invariants(
         monos = {c: _monomial([variables[k] for k in members[c][0]]) for c in kept}
         kept.sort(key=lambda c: (len(monos[c]), monos[c]))
         dense = [[row.get(c, 0) for c in kept] for row in rows if row]
-        for vector in linalg.nullspace(dense, len(kept)):
-            poly = Polynomial({monos[c]: v for c, v in zip(kept, vector)})
-            basis.append(poly.normalize_sign())
-    basis.sort(key=lambda p: (p.degree(), str(p)))
-    return basis
+        vectors = linalg._kernel(dense, len(kept))
+        if vectors:
+            blocks[weight] = ([monos[c] for c in kept], vectors)
+    return blocks
 
 
 def _oracle_columns(
@@ -829,62 +853,25 @@ def _monomial(roots: Sequence[Root]) -> Monomial:
     return tuple(mono)
 
 
-def _inside_by_weight(
-    basis: Sequence[Polynomial], polys: Sequence[Polynomial], n: int
-) -> list[bool]:
-    """Whether each of ``polys`` lies in the rational span of ``basis``,
-    tested one torus-weight block at a time.
-
-    A block joins the torus weights of the monomials of each basis element
-    (an element of the oracle's basis has one weight; a mixed one joins
-    its weights into one block).  Blocks hold disjoint monomials, so the
-    span is the direct sum of the blocks' spans, and a polynomial is inside
-    exactly when its part in every block is inside that block's span; a
-    part of a weight no basis element holds is not.  Each block makes one
-    ``linalg.in_span`` call on its own basis elements and parts.
+def _inside(blocks: _Blocks, poly: Polynomial, max_degree: int) -> bool:
+    """Whether ``poly`` lies in the span of the oracle's ``blocks`` at
+    ``max_degree``: blocks hold disjoint monomials, so exactly when each
+    part of one weight code has a block that holds all its monomials and
+    spans its coefficient row.  A monomial of degree above ``max_degree``,
+    whose code may be another weight's, is in no block.
     """
-    def weight(mono: Monomial) -> tuple[int, ...]:
-        w = [0] * n
-        for (i, j), e in mono:
-            w[i - 1] += e
-            w[j - 1] -= e
-        return tuple(w)
-
-    # Union-find over weights: a block is named by its root weight.
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def find(w: tuple[int, ...]) -> tuple[int, ...]:
-        while parent.setdefault(w, w) != w:
-            w = parent[w]
-        return w
-
-    tops = []
-    for p in basis:
-        top, *rest = [find(weight(m)) for m in p.terms]
-        for r in rest:
-            parent[r] = top
-        tops.append(top)
-    # Each block's basis elements, and its parts of polys by position.
-    rows: dict[tuple[int, ...], tuple[list, dict]] = {}
-    for p, top in zip(basis, tops):
-        rows.setdefault(find(top), ([], {}))[0].append(p.terms)
-    inside = [True] * len(polys)
-    for t, p in enumerate(polys):
-        for m, c in p.terms.items():
-            w = weight(m)
-            if w not in parent:
-                inside[t] = False
-                break
-            rows[find(w)][1].setdefault(t, {})[m] = c
-    for vectors, parts in rows.values():
-        if parts:
-            terms = vectors + list(parts.values())
-            monos = list(dict.fromkeys(chain.from_iterable(terms)))
-            dense = [[row.get(m, 0) for m in monos] for row in terms]
-            answers = linalg.in_span(dense[:len(vectors)], dense[len(vectors):])
-            for t, ok in zip(parts, answers):
-                inside[t] &= ok
-    return inside
+    big = 2 * max_degree + 1
+    parts: dict[int, dict[Monomial, int]] = {}
+    for mono, coef in poly.terms.items():
+        weight = sum(e * (big ** (i - 1) - big ** (j - 1)) for (i, j), e in mono)
+        parts.setdefault(weight, {})[mono] = coef
+    for weight, part in parts.items():
+        monos, vectors = blocks.get(weight, ((), ()))
+        if not part.keys() <= set(monos):
+            return False
+        if not linalg.in_span(vectors, [[part.get(m, 0) for m in monos]])[0]:
+            return False
+    return True
 
 
 def full_report(
@@ -1043,14 +1030,14 @@ def full_report(
             low = [r for r in records if r.invariant.degree() <= max_degree]
             if not low:
                 return "no low-degree invariants"
-            basis = oracle_invariants(ideal, max_degree, budget=oracle_budget)
-            inside = _inside_by_weight(basis, [r.invariant for r in low], n)
-            for record, ok in zip(low, inside):
-                if not ok:
+            blocks = _oracle_blocks(ideal, max_degree)
+            for record in low:
+                if not _inside(blocks, record.invariant, max_degree):
                     raise ConstructionError(
                         f"invariant of {record.xi} is outside the oracle kernel"
                     )
-            return f"{len(low)} invariants inside a basis of {len(basis)}"
+            size = sum(len(vectors) for _, vectors in blocks.values())
+            return f"{len(low)} invariants inside a basis of {size}"
 
         run("oracle_containment", check_oracle)
 

@@ -69,6 +69,12 @@ def reflection_product(n: int, roots: Sequence[Root]) -> Permutation:
     The list must be strictly decreasing in the column order.
     """
     _check_decreasing(n, roots)
+    return _reflection_product(n, roots)
+
+
+def _reflection_product(n: int, roots: Sequence[Root]) -> Permutation:
+    """``reflection_product`` with none of its checks, for roots that a
+    built diagram already holds in decreasing order."""
     images = list(range(1, n + 1))
     # Composing with a transposition on the right swaps two one-line entries.
     for i, j in roots:

@@ -706,53 +706,93 @@ def test_oracle_members_are_invariant():
             assert poisson_bracket_generator(i, p, ideal).is_zero
 
 
+def weight_code(mono, max_degree):
+    """The oracle's torus-weight code of a monomial at ``max_degree``."""
+    big = 2 * max_degree + 1
+    return sum(e * (big ** (i - 1) - big ** (j - 1)) for (i, j), e in mono)
+
+
+def blocks_of(basis, max_degree):
+    """Oracle blocks, keyed by weight code, from basis elements that each
+    hold one torus weight."""
+    grouped = {}
+    for p in basis:
+        (code,) = {weight_code(m, max_degree) for m in p.terms}
+        grouped.setdefault(code, []).append(p)
+    blocks = {}
+    for code, polys in grouped.items():
+        monos = list(dict.fromkeys(m for p in polys for m in p.terms))
+        blocks[code] = (monos, [[p.terms.get(m, 0) for m in monos] for p in polys])
+    return blocks
+
+
 def test_invariant_in_span(monkeypatch):
     # oracle_containment tests the one invariant y[3,1] of the free n=3
-    # factor against whatever basis the oracle returns
-    import regfactor.verify as verify
-
+    # factor against whatever blocks the oracle returns
     def outcome(basis):
-        monkeypatch.setattr(verify, "oracle_invariants", lambda *a, **k: basis)
+        monkeypatch.setattr(verify, "_oracle_blocks", lambda *a, **k: blocks_of(basis, 4))
         check = full_report(close_ideal(3, []), trials=1).checks[-1]
         assert check.name == "oracle_containment"
         return check.status, check.detail
 
-    assert outcome([y(2, 1), y(3, 1) + y(2, 1)]) == (
+    # y[3,1] and y[2,1]y[3,2] share one torus weight: a block of two vectors.
+    assert outcome([y(2, 1) * y(3, 2), y(3, 1) + y(2, 1) * y(3, 2)]) == (
         "pass", "1 invariants inside a basis of 2")
     assert outcome([y(3, 1) * y(2, 1), 2 * y(3, 1)])[0] == "pass"
     outside = ("fail", "invariant of (3, 1) is outside the oracle kernel")
     assert outcome([y(2, 1), y(3, 2)]) == outside
+    assert outcome([y(3, 1) + y(2, 1) * y(3, 2)]) == outside
     assert outcome([]) == outside
 
 
 def test_block_containment_matches_one_global_in_span():
     # The real records, and sums of neighbouring ones, which span two
-    # weights, against degree-3 bases of every ideal with n <= 6.
+    # weights, against the degree-3 blocks of every ideal with n <= 6.
     for n in range(1, 7):
         for ideal in all_regular_ideals(n):
             basis = oracle_invariants(ideal, 3)
+            blocks = verify._oracle_blocks(ideal, 3)
             polys = [r.invariant for r in all_invariants(ideal)]
             polys += [a + b for a, b in zip(polys, polys[1:])]
-            expected = in_poly_span(basis, polys)
-            assert verify._inside_by_weight(basis, polys, n) == expected, sorted(ideal.roots)
+            found = [verify._inside(blocks, p, 3) for p in polys]
+            assert found == in_poly_span(basis, polys), sorted(ideal.roots)
+
+
+def test_oracle_elements_hold_one_torus_weight():
+    # What lets containment run on the oracle's weight blocks alone; the
+    # degree-3 code is one-to-one on the weights of degree at most 3.
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            for p in oracle_invariants(ideal, 3):
+                assert len({weight_code(m, 3) for m in p.terms}) == 1, (sorted(ideal.roots), str(p))
 
 
 def test_block_containment_constructed_cases():
     # y[3,1], y[2,1] and y[3,2] have three different torus weights.
     def both(basis, polys):
-        found = verify._inside_by_weight(basis, polys, 3)
+        found = [verify._inside(blocks_of(basis, 2), p, 2) for p in polys]
         assert found == in_poly_span(basis, polys)
         return found
 
     # A record split over two weights, one part outside: it fails.
     assert both([y(3, 1)], [y(3, 1) + y(2, 1), y(3, 1) + y(3, 2)]) == [False, False]
     assert both([y(3, 1), 2 * y(2, 1)], [y(3, 1) + y(2, 1), 3 * y(3, 1)]) == [True, True]
-    # A basis element that joins two weights.
-    joined = [y(3, 1) + y(2, 1)]
-    assert both(joined, [2 * y(3, 1) + 2 * y(2, 1), y(3, 1), y(2, 1)]) == [
-        True, False, False]
-    assert both(joined + [y(3, 2)], [y(3, 1) + y(2, 1) - y(3, 2), y(3, 2)]) == [True, True]
+    # A weight whose block lacks one of the part's monomials.
+    assert both([y(2, 1) * y(3, 2)], [y(3, 1), y(3, 1) + y(2, 1) * y(3, 2)]) == [False, False]
     assert both([], [y(3, 1)]) == [False]
+
+
+@pytest.mark.slow
+def test_oracle_containment_reports_the_basis_size():
+    # The "basis of N" of the report is the size of the oracle's basis.
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            for degree in (2, 3, 4):
+                check = full_report(ideal, trials=1, max_degree=degree).checks[-1]
+                assert check.name == "oracle_containment" and check.status == "pass"
+                if check.detail != "no low-degree invariants":
+                    size = int(check.detail.rsplit(" ", 1)[1])
+                    assert size == len(oracle_invariants(ideal, degree)), sorted(ideal.roots)
 
 
 def test_full_report_reference_passes():

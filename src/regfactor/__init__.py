@@ -1,6 +1,6 @@
 """Exact coadjoint invariants of regular factors of the unitriangular
 Lie algebra: diagrams, permutations, characteristic minors, and a full
-verification harness over the rationals."""
+verification harness in exact integer arithmetic."""
 
 from .diagram import (
     Diagram,

@@ -143,7 +143,7 @@ def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
 
 def cmd_orbit_stats(ideal: RegularIdeal, args) -> int:
     counts = build_diagram(ideal).counts()
-    stats = skew_rank_stats(ideal, trials=args.trials, seed=args.seed)
+    stats = skew_rank_stats(ideal)
     doc = {
         "n": ideal.n,
         "max_rank": stats.max_rank,
@@ -190,7 +190,7 @@ _COMMANDS = {
                ("--seed", "--trials", "--max-degree", "--budget")),
     "extremal-scan": (cmd_extremal_scan, "enumerate extremal minors",
                       ("--budget", "--max-size")),
-    "orbit-stats": (cmd_orbit_stats, "skew form rank statistics", ("--seed", "--trials")),
+    "orbit-stats": (cmd_orbit_stats, "skew form rank at the distinct-prime point", ()),
     "oracle": (cmd_oracle, "brute-force low-degree invariants", ("--max-degree", "--budget")),
 }
 

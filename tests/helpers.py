@@ -6,7 +6,7 @@ determinant, brute inversion count, Fraction Gauss-Jordan elimination,
 partial derivatives, the generator bracket and the Jacobian rank in
 polynomial arithmetic, per-monomial bracket oracle, dense coadjoint
 conjugation, the plain formal matrix, the full Poisson bracket and
-reduction modulo the ideal, the sampled skew rank without early stop)
+reduction modulo the ideal, the skew rank at the prime point)
 that never touch the code paths they check; and the coadjoint trials
 through the public objects, whose move is the library's own, checked
 against the dense conjugation."""
@@ -545,34 +545,22 @@ def reference_coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     return DualPoint(point.ideal, coords)
 
 
-def reference_skew_forms(ideal: RegularIdeal, trials: int, seed: int) -> list[list[list]]:
-    """The bracket form B_x at every one of the ``trials + 1`` sampled points,
-    all built before any is ranked: ``prime_point``, then
-    ``DualPoint.random`` in turn from ``random.Random(seed)``, each matrix
-    filled pair by pair from ``bracket_single``."""
+def reference_skew_rank_stats(ideal: RegularIdeal) -> tuple[int, int]:
+    """(rank, corank) of the bracket form B_x at ``prime_point``, the matrix
+    filled pair by pair from ``bracket_single`` and ranked by the pivot
+    count of ``gauss_jordan``."""
     basis = ideal.free_roots()
     dim = len(basis)
-    rng = random.Random(seed)
-    points = [prime_point(ideal)]
-    points += [DualPoint.random(ideal, rng) for _ in range(trials)]
-    forms = []
-    for point in points:
-        rows = [[0] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                hit = bracket_single(basis[a], basis[b])
-                if hit is not None and hit[1] not in ideal:
-                    rows[a][b] = hit[0] * point.coords[hit[1]]
-                    rows[b][a] = -rows[a][b]
-        forms.append(rows)
-    return forms
-
-
-def reference_skew_rank_stats(ideal: RegularIdeal, trials: int, seed: int) -> tuple[int, int]:
-    """(max_rank, corank) over every form of ``reference_skew_forms``, each
-    rank the pivot count of ``gauss_jordan``; no early stop."""
-    best = max(len(gauss_jordan(rows)[1]) for rows in reference_skew_forms(ideal, trials, seed))
-    return best, len(ideal.free_roots()) - best
+    coords = prime_point(ideal).coords
+    rows = [[0] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            hit = bracket_single(basis[a], basis[b])
+            if hit is not None and hit[1] not in ideal:
+                rows[a][b] = hit[0] * coords[hit[1]]
+                rows[b][a] = -rows[a][b]
+    rank = len(gauss_jordan(rows)[1])
+    return rank, dim - rank
 
 
 def reference_check_invariance(records, ideal: RegularIdeal, trials: int,

@@ -185,7 +185,7 @@ def test_criterion_6_orbit_statistics():
         for index in range(len(pool())):
             ideal, diagram, _ = analysis(index)
             counts = diagram.counts()
-            stats = skew_rank_stats(ideal, trials=20, seed=POOL_SEED)
+            stats = skew_rank_stats(ideal)
             assert stats.max_rank == counts.plus_minus
             assert stats.corank == counts.crosses
 

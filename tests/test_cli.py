@@ -76,9 +76,7 @@ def test_verify_passes(small_problem, capsys):
 
 
 def test_orbit_stats(problem, capsys):
-    code, out, _ = run(
-        capsys, "orbit-stats", problem, "--trials", "5", "--format", "json"
-    )
+    code, out, _ = run(capsys, "orbit-stats", problem, "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc == {
@@ -254,7 +252,7 @@ def test_read_flag_parsed(command, flag):
     "command,flag,value",
     [(c, f, "1") for c, f in UNREAD_FLAGS]
     + [("diagram", "--budget", "-5"), ("diagram", "--max-degree", "-1"),
-       ("diagram", "--trials", "0")],
+       ("diagram", "--trials", "0"), ("orbit-stats", "--trials", "5")],
 )
 def test_unread_flag_rejected(problem, command, flag, value, capsys):
     code, out, err = run(capsys, command, problem, flag, value)
@@ -294,8 +292,7 @@ def test_byte_identical_reruns(problem, capsys):
 
 def test_json_documents_round_trip(problem, capsys):
     for command in ["diagram", "permutation", "invariants", "orbit-stats"]:
-        trials = ["--trials", "5"] if command == "orbit-stats" else []
-        code, out, _ = run(capsys, command, problem, "--format", "json", *trials)
+        code, out, _ = run(capsys, command, problem, "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert json.loads(json.dumps(doc)) == doc
@@ -313,7 +310,7 @@ GOLDEN_STDOUT = {
     ("reference", "verify", "text"):
         "3c71140842304b2a6a9f3d6ca2913d1ece92b00d90b39fd7f11b6d9e17e5f9c0",
     ("reference", "verify", "json"):
-        "11fd8e327e3daa1d9b027459b9e8cb4842b4c64f45c979471b237e8beab16400",
+        "8ad299c3fe9e91bfaed73438a88f8518b92d03fde7931cf310410b2cdda0b0fb",
     ("free", "invariants", "text"):
         "bba030509fff8186fb2d74fee32b53b564e0caf502ca1f6a9bcd13ea2c25e03c",
     ("free", "invariants", "json"):
@@ -321,7 +318,7 @@ GOLDEN_STDOUT = {
     ("free", "verify", "text"):
         "a2775fadb9525d6843d9bdc11d7c3a88550df91944300136de6662474ce5b358",
     ("free", "verify", "json"):
-        "546aff4bb751de027533a2a2f82730d49018a7b1c623d5edccf9af4e1fb5a539",
+        "0e24a4f905c220786b1a6683d46af4da666f1b01e522089689556adb6334ec9e",
     ("reference", "oracle", "text"):
         "bdedb36dc3aaea70fa059983c97b9d02ed34574a966bb057fd5668b127e4a52e",
     ("reference", "oracle", "json"):

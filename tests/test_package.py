@@ -26,7 +26,6 @@ from regfactor import (
     positive_roots,
     reflection_product,
     shift_spec,
-    skew_rank_stats,
 )
 from regfactor.linalg import in_span, nullspace, rank
 from regfactor.roots import check_root
@@ -149,8 +148,6 @@ _NUMBER_ENTRIES = {
     "GroupElement.random": lambda v: GroupElement.random(v, random.Random(0)),
     "check_invariance.trials": lambda v: check_invariance([], _IDEAL, trials=v),
     "check_invariance.seed": lambda v: check_invariance([], _IDEAL, seed=v),
-    "skew_rank_stats.trials": lambda v: skew_rank_stats(_IDEAL, trials=v),
-    "skew_rank_stats.seed": lambda v: skew_rank_stats(_IDEAL, seed=v),
     "oracle_invariants.max_degree": lambda v: oracle_invariants(_IDEAL, v),
     "oracle_invariants.budget": lambda v: oracle_invariants(_TRIVIAL, 2, budget=v),
     "full_report.trials": lambda v: full_report(_IDEAL, trials=v),

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import json
 import random
-import time
 from fractions import Fraction
 from math import prod
 
@@ -21,6 +20,7 @@ from regfactor import (
     InputError,
     RegularIdeal,
     all_invariants,
+    build_diagram,
     check_invariance,
     close_ideal,
     coadjoint_act,
@@ -34,7 +34,6 @@ from helpers import (
     assert_int_coefficients,
     derivative,
     dual_matrix,
-    gauss_jordan,
     group_identity,
     group_inverse,
     group_product,
@@ -49,7 +48,6 @@ from helpers import (
     reference_check_invariance,
     reference_coadjoint_act,
     reference_oracle,
-    reference_skew_forms,
     reference_skew_rank_stats,
     y,
 )
@@ -428,8 +426,6 @@ def test_counts_and_seeds_must_be_ints(value):
     calls = [
         (lambda v: check_invariance(records, ideal, trials=v), "trials"),
         (lambda v: check_invariance(records, ideal, seed=v), "seed"),
-        (lambda v: skew_rank_stats(ideal, trials=v), "trials"),
-        (lambda v: skew_rank_stats(ideal, seed=v), "seed"),
         (lambda v: full_report(ideal, trials=v), "trials"),
         (lambda v: full_report(ideal, seed=v), "seed"),
         (lambda v: full_report(ideal, max_degree=v), "max_degree"),
@@ -473,75 +469,63 @@ def test_corrupted_coefficient_detected():
 
 
 def test_skew_rank_examples():
-    assert skew_rank_stats(n7_ideal(), trials=5, seed=0) == (12, 5)
-    assert skew_rank_stats(close_ideal(3, []), trials=5, seed=0) == (2, 1)
-    assert skew_rank_stats(close_ideal(2, [(2, 1)]), trials=5, seed=0) == (0, 0)
+    assert skew_rank_stats(n7_ideal()) == (12, 5)
+    assert skew_rank_stats(close_ideal(3, [])) == (2, 1)
+    assert skew_rank_stats(close_ideal(2, [(2, 1)])) == (0, 0)
 
 
 def test_skew_rank_matches_diagram_random():
-    from regfactor import build_diagram
-
     for ideal in random_ideals(20, seed=402):
         counts = build_diagram(ideal).counts()
-        stats = skew_rank_stats(ideal, trials=20, seed=7)
+        stats = skew_rank_stats(ideal)
         assert stats.max_rank % 2 == 0
         assert stats.max_rank + stats.corank == ideal.dim
         assert stats.max_rank == counts.plus_minus
         assert stats.corank == counts.crosses
 
 
+def _assert_skew_ranks_match_reference(n: int) -> None:
+    # Every regular ideal with this n: the one rank is the reference rank of
+    # the prime-point form and the diagram's plus/minus and cross counts.
+    for ideal in all_regular_ideals(n):
+        counts = build_diagram(ideal).counts()
+        assert skew_rank_stats(ideal) == reference_skew_rank_stats(ideal) == (
+            counts.plus_minus, counts.crosses
+        ), sorted(ideal.roots)
+
+
 def test_skew_rank_matches_reference_up_to_n6():
     for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            for seed in range(3):
-                for trials in (1, 5, 20):
-                    assert skew_rank_stats(ideal, trials=trials, seed=seed) == (
-                        reference_skew_rank_stats(ideal, trials, seed)
-                    ), (sorted(ideal.roots), seed, trials)
+        _assert_skew_ranks_match_reference(n)
+
+
+def test_skew_rank_matches_reference_n7():
+    _assert_skew_ranks_match_reference(7)
 
 
 @pytest.mark.slow
-def test_skew_rank_matches_reference_n7():
-    for ideal in all_regular_ideals(7):
-        assert skew_rank_stats(ideal, trials=20, seed=0) == (
-            reference_skew_rank_stats(ideal, 20, 0)
-        ), sorted(ideal.roots)
+def test_skew_rank_matches_reference_n8():
+    _assert_skew_ranks_match_reference(8)
 
 
 def test_skew_rank_of_every_ideal_pinned():
     # sha256 over every regular ideal with n <= 7 in all_regular_ideals
-    # order of its "max_rank corank" line at verify's 20 trials, seed 0,
-    # pinned from the sampling that ranks every point
+    # order of its "max_rank corank" line, pinned from the maximum over the
+    # prime point and 20 seeded points, which the one rank must reproduce
     digest = hashlib.sha256()
     for n in range(1, 8):
         for ideal in all_regular_ideals(n):
-            stats = skew_rank_stats(ideal, trials=20, seed=0)
+            stats = skew_rank_stats(ideal)
             digest.update(f"{stats.max_rank} {stats.corank}\n".encode())
     assert digest.hexdigest() == (
         "db80b58d25314259aaf83f59166507a4c45d6a1fec796a9a680531ff313b54c0"
     )
 
 
-def test_skew_rank_bound_holds_up_to_n6():
-    rng = random.Random(61)
-    for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            dim = len(ideal.free_roots())
-            table = verify._bracket_table(ideal)
-            bound = verify._rank_bound(table, dim)
-            assert bound % 2 == 0
-            for rows in reference_skew_forms(ideal, 20, 0):
-                assert len(gauss_jordan(rows)[1]) <= bound
-            # The term rank is the rank of the support filled with
-            # independent values: bound rounds it down to even.
-            generic = [[0] * dim for _ in range(dim)]
-            for a, b, _, _ in table:
-                generic[a][b] = rng.randint(1, 10**9)
-                generic[b][a] = rng.randint(1, 10**9)
-            assert bound == len(gauss_jordan(generic)[1]) // 2 * 2
-
-
-def _count_ranks(monkeypatch) -> list:
+def test_skew_rank_ranks_one_point(monkeypatch):
+    # One rank, at the distinct-prime point, whether or not it is full: 10
+    # of the 14-dimensional form below (6,1), 12 of the 17-dimensional form
+    # of the n=7 reference.
     calls = []
     rank = linalg.rank
 
@@ -550,32 +534,28 @@ def _count_ranks(monkeypatch) -> list:
         return rank(rows)
 
     monkeypatch.setattr(linalg, "rank", counted)
-    return calls
-
-
-def test_skew_rank_stops_at_the_bound(monkeypatch):
-    calls = _count_ranks(monkeypatch)
-    assert skew_rank_stats(n7_ideal(), trials=20, seed=0) == (12, 5)
+    assert skew_rank_stats(close_ideal(6, [(6, 1)])) == (10, 4)
+    assert calls == [14]
+    calls.clear()
+    assert skew_rank_stats(n7_ideal()) == (12, 5)
     assert calls == [17]
 
 
-def test_skew_rank_falls_back_to_every_point(monkeypatch):
-    # Below (6,1) no point passes rank 10, under the bound 12 of a
-    # 14-dimensional form, so all 21 points are ranked.
-    ideal = close_ideal(6, [(6, 1)])
-    assert verify._rank_bound(verify._bracket_table(ideal), 14) == 12
-    calls = _count_ranks(monkeypatch)
-    assert skew_rank_stats(ideal, trials=20, seed=0) == (10, 4)
-    assert calls == [14] * 21
-    assert reference_skew_rank_stats(ideal, 20, 0) == (10, 4)
-
-
-def test_skew_rank_draws_points_one_at_a_time(monkeypatch):
-    calls = _count_ranks(monkeypatch)
-    start = time.process_time()
-    assert skew_rank_stats(n7_ideal(), trials=10**6, seed=0) == (12, 5)
-    assert time.process_time() - start < 1.0
-    assert calls == [17]
+def test_skew_rank_below_plus_minus_fails_the_report(monkeypatch):
+    # A rank short of the plus/minus count fails the skew_rank line alone,
+    # and the line carries no trials or seed: it samples nothing.
+    monkeypatch.setattr(verify, "skew_rank_stats", lambda ideal: verify.SkewStats(10, 7))
+    report = full_report(n7_ideal(), max_degree=2)
+    assert not report.passed
+    assert [line for line in report.lines() if not line.startswith("PASS")] == [
+        "FAIL    skew_rank (max skew rank 10 differs from the plus/minus count 12)"
+    ]
+    entry = next(c for c in report.to_json()["checks"] if c["name"] == "skew_rank")
+    assert entry == {
+        "name": "skew_rank",
+        "status": "fail",
+        "detail": "max skew rank 10 differs from the plus/minus count 12",
+    }
 
 
 def test_oracle_examples():
@@ -665,7 +645,7 @@ def test_full_reports_of_every_n6_ideal_pinned():
         doc = full_report(ideal, seed=k, max_degree=2).to_json()
         digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == (
-        "3ae3aa288cb3ee7f060daab37c40558641bf5206f5524b0bae21a39c21bd7407"
+        "56b95a12e3c77e5dcdbb4b1d20fc687945b1a03c9c92689e865bf02c606625c2"
     )
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra on integer matrices.
 
-Rank, nullspace and span membership all run on one fraction-free
-elimination (Bareiss 1968) over the integers.  Nullspace and span
-membership take the full Gauss-Jordan reduction; rank runs only its forward
-pass, which clears the rows below each pivot and already counts the pivots.
+Rank and nullspace both run on one fraction-free elimination (Bareiss
+1968) over the integers.  Nullspace takes the full Gauss-Jordan reduction;
+rank runs only its forward pass, which clears the rows below each pivot and
+already counts the pivots.
 Entries must be ``int``; any other type raises InputError.
 """
 
@@ -77,7 +77,13 @@ def rank(rows: Sequence[Sequence]) -> int:
     """Rank of an integer matrix: the pivot count of the forward elimination
     pass alone, with no clearing above the pivots."""
     n_cols = len(rows[0]) if rows else 0
-    return len(_eliminate(_integer_rows(rows, n_cols), n_cols, reduce=False))
+    return _rank(_integer_rows(rows, n_cols), n_cols)
+
+
+def _rank(m: list[list[int]], n_cols: int) -> int:
+    """``rank`` of rows the library built itself (lists of ``n_cols`` ints),
+    with none of its checks; ``m`` is changed in place."""
+    return len(_eliminate(m, n_cols, reduce=False))
 
 
 def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
@@ -108,17 +114,3 @@ def _kernel(m: list[list[int]], n_cols: int) -> list[list[int]]:
         basis.append([x // g for x in vec])
     return basis
 
-
-def in_span(vectors: Sequence[Sequence], targets: Sequence[Sequence]) -> list[bool]:
-    """Whether each of ``targets`` is a rational linear combination of
-    ``vectors``: that is, whether it is orthogonal to every vector of their
-    kernel, so one elimination serves every target."""
-    if not targets:
-        return []
-    n_cols = len(targets[0])
-    kernel = nullspace(vectors, n_cols)
-    answers = []
-    for t in _integer_rows(targets, n_cols):
-        entries = [(j, x) for j, x in enumerate(t) if x]
-        answers.append(not any(sum(k[j] * x for j, x in entries) for k in kernel))
-    return answers

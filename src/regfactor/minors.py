@@ -186,17 +186,27 @@ def shift_spec(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorS
     require_ints((i,), "shift index must be an integer, got {!r}", i)
     if i < 1:
         raise InputError(f"shift index must be positive, got {i}")
+    if direction not in ("down", "left"):
+        raise InputError(f"unknown shift direction {direction!r}")
+    shifted = _shift(spec, i, direction)
+    return None if shifted is None else MinorSpec(shifted.rows, shifted.cols)
+
+
+def _shift(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorSpec]:
+    """``shift_spec`` without its checks.  Moving a row or column onto a free
+    neighbour keeps a valid spec valid, so ``MinorSpec``'s checks are skipped."""
+    rows, cols = spec.rows, spec.cols
     if direction == "down":
-        if i in spec.rows and (i + 1) not in spec.rows:
-            rows = tuple(sorted(set(spec.rows) - {i} | {i + 1}))
-            return MinorSpec(rows, spec.cols)
+        if i not in rows or i + 1 in rows:
+            return None
+        rows = tuple([i + 1 if r == i else r for r in rows])
+    elif i + 1 in cols and i not in cols:
+        cols = tuple([i if c == i + 1 else c for c in cols])
+    else:
         return None
-    if direction == "left":
-        if (i + 1) in spec.cols and i not in spec.cols:
-            cols = tuple(sorted(set(spec.cols) - {i + 1} | {i}))
-            return MinorSpec(spec.rows, cols)
-        return None
-    raise InputError(f"unknown shift direction {direction!r}")
+    shifted = object.__new__(MinorSpec)
+    shifted.__dict__.update(rows=rows, cols=cols)
+    return shifted
 
 
 def is_extremal(ideal: RegularIdeal, spec: MinorSpec, degree: Optional[int] = None) -> bool:
@@ -204,6 +214,7 @@ def is_extremal(ideal: RegularIdeal, spec: MinorSpec, degree: Optional[int] = No
 
     Vanishing or impossible shifts count as a drop; a zero minor itself is
     rejected as input.  ``degree`` may pass in the minor's known degree.
+    The shifts come from ``_shift``, without ``shift_spec``'s checks.
     """
     if degree is None:
         degree = minor_degree(ideal, spec)
@@ -211,7 +222,7 @@ def is_extremal(ideal: RegularIdeal, spec: MinorSpec, degree: Optional[int] = No
         raise InputError(f"minor {spec} is zero; extremality is undefined")
     for i in range(1, ideal.n):
         for direction in ("down", "left"):
-            shifted = shift_spec(spec, i, direction)
+            shifted = _shift(spec, i, direction)
             if shifted is not None and minor_degree(ideal, shifted) >= degree:
                 return False
     return True

@@ -1,6 +1,6 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 small tools the library does not need (root sums, group-element products
-and inverses, problem documents, span membership of polynomials, the
+and inverses, problem documents, span membership of rows and polynomials, the
 distinct-prime point), and independent oracles (permutation-sum
 determinant, brute inversion count, Fraction Gauss-Jordan elimination,
 partial derivatives, the generator bracket and the Jacobian rank in
@@ -33,7 +33,7 @@ from regfactor import (
     positive_roots,
     prec_key,
 )
-from regfactor.linalg import in_span
+from regfactor.linalg import nullspace
 
 # The n=7 instance with ideal generated by (5,1) and (7,2); its closure,
 # diagram, steps, crosses, and permutation are pinned from hand expansion.
@@ -162,9 +162,19 @@ def group_inverse(g: GroupElement) -> GroupElement:
     return GroupElement(tuple(map(tuple, inv)))
 
 
+def in_span(vectors, targets) -> list[bool]:
+    """Whether each of ``targets`` is a rational linear combination of
+    ``vectors``: that is, whether it is orthogonal to every vector of their
+    kernel, so one ``linalg.nullspace`` call serves every target."""
+    if not targets:
+        return []
+    kernel = nullspace(vectors, len(targets[0]))
+    return [not any(sum(k * x for k, x in zip(vec, t)) for vec in kernel) for t in targets]
+
+
 def in_poly_span(basis, polys) -> list[bool]:
     """Membership of each of ``polys`` in the rational span of ``basis``:
-    ``linalg.in_span`` on coefficient rows over one monomial list."""
+    ``in_span`` on coefficient rows over one monomial list."""
     everything = [*basis, *polys]
     monos = list(dict.fromkeys(m for p in everything for m in p.terms))
     rows = [[p.terms.get(m, 0) for m in monos] for p in everything]

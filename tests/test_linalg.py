@@ -1,6 +1,6 @@
-"""Rank, nullspace and span membership on the integer elimination kernel,
-checked against a plain Fraction Gauss-Jordan reference; the kernel itself
-takes int entries only."""
+"""Rank and nullspace on the integer elimination kernel, checked against a
+plain Fraction Gauss-Jordan reference, and the tests' span membership built
+on nullspace; the kernel itself takes int entries only."""
 
 from fractions import Fraction
 from math import gcd
@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regfactor import InputError
-from regfactor.linalg import in_span, nullspace, rank
-from helpers import gauss_jordan, reference_nullspace
+from regfactor.linalg import nullspace, rank
+from helpers import gauss_jordan, in_span, reference_nullspace
 
 
 def test_rank_examples():
@@ -53,10 +53,6 @@ def test_in_span_examples():
     assert in_span([[1, 2], [2, 4]], [[3, 6], [1, 0]]) == [True, False]
     assert in_span([[1, 0, 1], [0, 1, 1]], [[2, -3, -1]]) == [True]
     assert in_span([[1, 2]], [[-2, -4], [1, 1], [0, 0]]) == [True, False, True]
-    for vectors, targets in (([[Fraction(1, 2), 1]], [[1, 2]]),
-                             ([[1, 2]], [[Fraction(1, 3), Fraction(2, 3)]])):
-        with pytest.raises(InputError, match="^matrix entries must be integers$"):
-            in_span(vectors, targets)
 
 
 @pytest.mark.parametrize(
@@ -66,15 +62,15 @@ def test_in_span_examples():
         lambda: rank([[1, 2], [3]]),
         lambda: nullspace([[1, 2, 3]], 2),
         lambda: nullspace([[1, 2]], 3),
-        lambda: in_span([[1, 2]], [[1, 2, 3]]),
-        lambda: in_span([[1, 2, 3]], [[1, 2]]),
+        lambda: nullspace([[1, 2], [1, 2, 3]], 2),
+        lambda: nullspace([[1, 2], [3]], 2),
         lambda: rank([[1.5, 2]]),
         lambda: rank([[2.0, 1]]),
         lambda: rank([[True, 1]]),
         lambda: nullspace([[1, False]], 2),
         lambda: nullspace([["1", 2]], 2),
-        lambda: in_span([[1, 2]], [[1, 2], [1.0, 2]]),
-        lambda: in_span([[1, None]], [[1, 2]]),
+        lambda: rank([[1, 2], [1.0, 2]]),
+        lambda: nullspace([[1, None]], 2),
     ],
 )
 def test_malformed_input_rejected(call):

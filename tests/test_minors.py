@@ -1,9 +1,11 @@
 """Minors of the characteristic matrix, shifts, extremality, and the scan."""
 
 import random
+from itertools import combinations
 
 import pytest
 
+from regfactor import minors
 from regfactor import (
     BudgetError,
     InputError,
@@ -136,6 +138,22 @@ def test_shift_examples():
         shift_spec(spec, 0, "down")
     with pytest.raises(InputError):
         shift_spec(spec, 1, "sideways")
+
+
+def test_unchecked_shifts_match_shift_spec():
+    # is_extremal's private shifts are shift_spec's, for every spec with
+    # n <= 5, every index and both directions, and each is a valid spec.
+    for size in range(1, 6):
+        for rows in combinations(range(1, 6), size):
+            for cols in combinations(range(1, 6), size):
+                spec = MinorSpec(rows, cols)
+                for i in range(1, 6):
+                    for direction in ("down", "left"):
+                        shifted = minors._shift(spec, i, direction)
+                        assert shifted == shift_spec(spec, i, direction)
+                        if shifted is not None:
+                            assert shifted == MinorSpec(shifted.rows, shifted.cols)
+                            assert type(shifted.rows) is type(shifted.cols) is tuple
 
 
 def test_is_extremal_examples():

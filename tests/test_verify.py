@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
@@ -670,9 +671,9 @@ def test_oracle_first_round_is_the_one_entry_equations():
     cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
     for ideal, degree in cases + [(n7_ideal(), 4)]:
         variables = ideal.free_roots()
-        _, groups = verify._oracle_columns(ideal, degree)
-        kept = [tuple(variables[k] for k in combo)
-                for members in groups.values() for combo, _ in members]
+        _, _, groups = verify._oracle_columns(ideal, degree)
+        kept = [tuple(variables[support[s]] for s in slots)
+                for members in groups.values() for support, (slots, _) in members]
         monos, forced = one_entry_columns(ideal, degree)
         assert len(kept) == len(set(kept))
         assert set(kept) == monos - forced, sorted(ideal.roots)
@@ -706,11 +707,32 @@ def blocks_of(basis, max_degree):
     return blocks
 
 
+def system_of(basis, ideal, max_degree):
+    """An oracle equation system whose kernel is the span of ``basis``, each
+    element of one torus weight: per weight, the basis monomials as kept
+    columns, and as rows the nullspace of the basis vectors over them."""
+    position = {root: k for k, root in enumerate(ideal.free_roots())}
+    system = {}
+    for code, (monos, vectors) in blocks_of(basis, max_degree).items():
+        kept = {c: tuple(position[r] for r, e in m for _ in range(e)) for c, m in enumerate(monos)}
+        rows = linalg.nullspace(vectors, len(monos))
+        system[code] = (kept, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    return system
+
+
+def report_contains(ideal, system, polys) -> list[bool]:
+    """The report's containment answer for each of ``polys``: their
+    compiled terms read against the equation ``system``."""
+    position = {root: k for k, root in enumerate(ideal.free_roots())}
+    return verify._oracle_contains(system, [verify._compile(p, position) for p in polys])
+
+
 def test_invariant_in_span(monkeypatch):
     # oracle_containment tests the one invariant y[3,1] of the free n=3
-    # factor against whatever blocks the oracle returns
+    # factor against whatever equation system the oracle returns
     def outcome(basis):
-        monkeypatch.setattr(verify, "_oracle_blocks", lambda *a, **k: blocks_of(basis, 4))
+        monkeypatch.setattr(verify, "_oracle_system",
+                            lambda ideal, degree: system_of(basis, ideal, degree))
         check = full_report(close_ideal(3, []), trials=1).checks[-1]
         assert check.name == "oracle_containment"
         return check.status, check.detail
@@ -726,16 +748,36 @@ def test_invariant_in_span(monkeypatch):
 
 
 def test_block_containment_matches_one_global_in_span():
-    # The real records, and sums of neighbouring ones, which span two
-    # weights, against the degree-3 blocks of every ideal with n <= 6.
+    # The report's count path against one global in_span over the degree-3
+    # basis of every ideal with n <= 6: the real records, sums of
+    # neighbouring ones, which span two weights, each record with its first
+    # term doubled (kept columns, off the kernel unless the record has one
+    # term), and each record plus one monomial of a weight it holds that the
+    # equations force to zero.
+    gained = 0
     for n in range(1, 7):
         for ideal in all_regular_ideals(n):
-            basis = oracle_invariants(ideal, 3)
-            blocks = verify._oracle_blocks(ideal, 3)
-            polys = [r.invariant for r in all_invariants(ideal)]
-            polys += [a + b for a, b in zip(polys, polys[1:])]
-            found = [verify._inside(blocks, p, 3) for p in polys]
-            assert found == in_poly_span(basis, polys), sorted(ideal.roots)
+            system = verify._oracle_system(ideal, 3)
+            kept = {combo for columns, _ in system.values() for combo in columns.values()}
+            forced = {}
+            for degree in (1, 2, 3):
+                for combo in combinations_with_replacement(range(len(ideal.free_roots())), degree):
+                    if combo not in kept:
+                        mono = prod(y(*ideal.free_roots()[k]) for k in combo)
+                        (term,) = mono.terms
+                        forced.setdefault(weight_code(term, 3), mono)
+            records = [r.invariant for r in all_invariants(ideal)]
+            polys = records + [a + b for a, b in zip(records, records[1:])]
+            polys += [p + Polynomial(dict(p.sorted_terms()[:1])) for p in records]
+            for p in records:
+                extra = next((forced[w] for w in sorted({weight_code(m, 3) for m in p.terms})
+                              if w in forced), None)
+                if extra is not None and p.degree() <= 3:
+                    polys.append(p + extra)
+                    gained += 1
+            found = report_contains(ideal, system, polys)
+            assert found == in_poly_span(oracle_invariants(ideal, 3), polys), sorted(ideal.roots)
+    assert gained == 296
 
 
 def test_oracle_elements_hold_one_torus_weight():
@@ -750,7 +792,8 @@ def test_oracle_elements_hold_one_torus_weight():
 def test_block_containment_constructed_cases():
     # y[3,1], y[2,1] and y[3,2] have three different torus weights.
     def both(basis, polys):
-        found = [verify._inside(blocks_of(basis, 2), p, 2) for p in polys]
+        ideal = close_ideal(3, [])
+        found = report_contains(ideal, system_of(basis, ideal, 2), polys)
         assert found == in_poly_span(basis, polys)
         return found
 
@@ -760,6 +803,20 @@ def test_block_containment_constructed_cases():
     # A weight whose block lacks one of the part's monomials.
     assert both([y(2, 1) * y(3, 2)], [y(3, 1), y(3, 1) + y(2, 1) * y(3, 2)]) == [False, False]
     assert both([], [y(3, 1)]) == [False]
+
+
+def test_oracle_kernel_sizes_match_the_solved_blocks():
+    # kept columns less the rank of the rows, weight by weight, is the
+    # number of kernel vectors _oracle_blocks solves for in that weight.
+    cases = [(ideal, d) for n in range(1, 7) for ideal in all_regular_ideals(n)
+             for d in range(1, 5)]
+    for ideal, degree in cases + [(n7_ideal(), 5)]:
+        sizes = verify._oracle_sizes(verify._oracle_system(ideal, degree))
+        blocks = verify._oracle_blocks(ideal, degree)
+        assert {w: k for w, k in sizes.items() if k} == {
+            w: len(vectors) for w, (_, vectors) in blocks.items()
+        }, (sorted(ideal.roots), degree)
+    assert sum(sizes.values()) == 90
 
 
 @pytest.mark.slow

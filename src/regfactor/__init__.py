@@ -25,7 +25,7 @@ from .minors import (
     minor_top,
     shift_spec,
 )
-from .poly import LambdaPolynomial, Polynomial, bracket_single
+from .poly import Polynomial, bracket_single
 from .roots import (
     RegularIdeal,
     Root,
@@ -64,7 +64,7 @@ __all__ = [
     "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
     "MinorSpec", "enumerate_extremal", "is_extremal", "minor_degree", "minor_lambda",
     "minor_top", "shift_spec",
-    "LambdaPolynomial", "Polynomial", "bracket_single",
+    "Polynomial", "bracket_single",
     "RegularIdeal", "Root", "close_ideal", "positive_roots", "prec_key",
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",
     "check_invariance", "coadjoint_act", "full_report", "oracle_invariants",

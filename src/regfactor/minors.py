@@ -15,7 +15,8 @@ a perfect matching of its support, and its highest coefficient is the
 signed sum over exactly those matchings, every coefficient +-1 (the
 matching view of generic determinants: Edmonds 1967; Murota, Matrices and
 Matroids).  ``minor_degree`` and ``minor_top`` read both off integer passes
-over column masks; ``minor_lambda`` expands the whole minor.
+over column masks; ``minor_lambda`` expands the whole minor into its tuple
+of coefficients, whose ``len(...) - 1`` and ``[-1]`` are those two values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .errors import DEFAULT_BUDGET, BudgetError, InputError, require_ints
-from .poly import LambdaPolynomial, Polynomial
+from .poly import Polynomial
 from .roots import RegularIdeal, Root, prec_key
 
 
@@ -105,7 +106,7 @@ def minor_degree(ideal: RegularIdeal, spec: MinorSpec) -> int:
 
 def minor_top(ideal: RegularIdeal, spec: MinorSpec) -> tuple[int, Polynomial]:
     """Degree and highest coefficient of the minor, equal to
-    ``minor_lambda(ideal, spec).degree`` and ``.leading()``; (-1, 0) for a
+    ``len(minor_lambda(ideal, spec)) - 1`` and its ``[-1]``; (-1, 0) for a
     zero minor.
 
     Forward pass over rows: a partial matching survives only while the
@@ -142,38 +143,39 @@ def minor_top(ideal: RegularIdeal, spec: MinorSpec) -> tuple[int, Polynomial]:
     )
 
 
-def minor_lambda(ideal: RegularIdeal, spec: MinorSpec) -> LambdaPolynomial:
+def minor_lambda(ideal: RegularIdeal, spec: MinorSpec) -> tuple[Polynomial, ...]:
     """Exact determinant of the selected submatrix of the characteristic
-    matrix, expanded over column subsets."""
-    cells = _row_cells(ideal, spec)
-    m = spec.size
-    if m == 0:
-        return LambdaPolynomial.of_poly(Polynomial.constant(1))
-    diagonal = LambdaPolynomial.lam(-1)
-    entries = [
-        [(c, diagonal if root is None else LambdaPolynomial.of_poly(Polynomial.variable(root)))
-         for c, root in row]
-        for row in cells
-    ]
-    zero = LambdaPolynomial.zero()
-    dp: dict[int, LambdaPolynomial] = {0: LambdaPolynomial.of_poly(Polynomial.constant(1))}
-    for row in entries:
-        ndp: dict[int, LambdaPolynomial] = {}
+    matrix, expanded over column subsets: its coefficients in the auxiliary
+    variable from the constant term up, the last one nonzero; () for a zero
+    minor."""
+    zero = Polynomial.zero()
+    cells = [[(c, None if root is None else Polynomial.variable(root)) for c, root in row]
+             for row in _row_cells(ideal, spec)]
+    dp: dict[int, tuple[Polynomial, ...]] = {0: (Polynomial.constant(1),)}
+    for row in cells:
+        ndp: dict[int, tuple[Polynomial, ...]] = {}
         for mask, val in dp.items():
-            for c, entry in row:
+            for c, var in row:
                 if mask >> c & 1:
                     continue
                 # Parity of already-used columns to the right of c.
-                sign = -1 if bin(mask >> (c + 1)).count("1") % 2 else 1
-                term = val * entry
-                if sign < 0:
-                    term = -term
+                odd = (mask >> (c + 1)).bit_count() & 1
+                if var is None:
+                    # -lambda raises every power by one and negates.
+                    term = (zero,) + (val if odd else tuple([-p for p in val]))
+                else:
+                    factor = -var if odd else var
+                    term = tuple([p * factor for p in val])
                 key = mask | 1 << c
-                ndp[key] = ndp.get(key, zero) + term
+                have = ndp.get(key)
+                if have is not None:
+                    if len(have) < len(term):
+                        have, term = term, have
+                    # Past the shorter tuple, the longer one's coefficients stand alone.
+                    term = tuple([p + q for p, q in zip(have, term)]) + have[len(term):]
+                ndp[key] = term
         dp = ndp
-        if not dp:
-            return LambdaPolynomial.zero()
-    return dp.get((1 << m) - 1, LambdaPolynomial.zero())
+    return dp.get((1 << spec.size) - 1, ())
 
 
 Direction = Literal["down", "left"]
@@ -263,9 +265,9 @@ def enumerate_extremal(
                         partial=results,
                     )
                 spec = MinorSpec(rows, cols)
-                value = minor_lambda(ideal, spec)
-                if value.is_zero or value.degree == size:
+                degree = len(minor_lambda(ideal, spec)) - 1
+                if degree < 0 or degree == size:
                     continue
-                if is_extremal(ideal, spec, value.degree):
+                if is_extremal(ideal, spec, degree):
                     results.append(spec)
     return results

@@ -14,7 +14,7 @@ bracket of two basis vectors.
 from __future__ import annotations
 
 from numbers import Number
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import InputError, require_ints
 from .roots import Root, prec_key
@@ -228,116 +228,6 @@ class Polynomial:
                 value = value * point[r] ** e
             total += value
         return total
-
-
-class LambdaPolynomial:
-    """Polynomial in an auxiliary variable with Polynomial coefficients,
-    stored as the coefficient list from degree 0 upward."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Polynomial] = ()):
-        items = list(coeffs)
-        while items and items[-1].is_zero:
-            items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "LambdaPolynomial":
-        return cls()
-
-    @classmethod
-    def of_poly(cls, poly: Polynomial) -> "LambdaPolynomial":
-        return cls((poly,))
-
-    @classmethod
-    def lam(cls, scale: int = 1) -> "LambdaPolynomial":
-        return cls((Polynomial.zero(), Polynomial.constant(scale)))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree in the auxiliary variable; -1 for the zero value."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power: int) -> Polynomial:
-        require_ints((power,), "power must be an integer, got {!r}", power)
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Polynomial.zero()
-
-    def leading(self) -> Polynomial:
-        return self.coeffs[-1] if self.coeffs else Polynomial.zero()
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        if not isinstance(other, LambdaPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        # Past the shorter list, the longer one's coefficients stand alone.
-        return LambdaPolynomial([p + q for p, q in zip(a, b)] + list(a[len(b):] + b[len(a):]))
-
-    def __neg__(self) -> "LambdaPolynomial":
-        return LambdaPolynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LambdaPolynomial):
-            other = Polynomial._coerce(other)
-            if other is None:
-                return NotImplemented
-            return LambdaPolynomial(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return LambdaPolynomial.zero()
-        out = [Polynomial.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if ca.is_zero:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if cb.is_zero:
-                    continue
-                out[a + b] = out[a + b] + ca * cb
-        return LambdaPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            coef = self.coeffs[k]
-            if coef.is_zero:
-                continue
-            head = f"({coef})"
-            if k == 0:
-                parts.append(head)
-            elif k == 1:
-                parts.append(f"{head}*L")
-            else:
-                parts.append(f"{head}*L^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LambdaPolynomial({self})"
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "coefficients": [str(c) for c in self.coeffs]}
 
 
 def bracket_single(a: Root, b: Root) -> Optional[tuple[int, Root]]:

@@ -37,6 +37,8 @@ _BYTE_DRAW = bytes(((b >> _SHIFT) + _ENTRY_RANGE[0]) & 0xFF for b in range(256))
 _BYTE_REJECTED = bytes(b for b in range(256) if b >> _SHIFT >= _WIDTH)
 # Trials that check_invariance runs together, one column entry each.
 _BLOCK = 128
+# Per generator i, free position -> (sign, image position): _generator_moves.
+_Moves = dict[int, dict[int, tuple[int, int]]]
 
 
 def _draws(rng: random.Random, count: int) -> array:
@@ -318,7 +320,8 @@ def check_invariance(
     public API reproduces from the seed.
     """
     _check_trials(trials, seed)
-    return _check_compiled(records, _compile_records(records, ideal), ideal, trials, seed)
+    compiled = _compile_records(records, ideal)
+    return _check_compiled(records, compiled, ideal, _generator_moves(ideal), trials, seed)
 
 
 def _compile_records(
@@ -333,15 +336,16 @@ def _check_compiled(
     records: Sequence[InvariantRecord],
     compiled: list[list[tuple[int, tuple[int, ...]]]],
     ideal: RegularIdeal,
+    moves: _Moves,
     trials: int,
     seed: int,
 ) -> VerificationReport:
     """``check_invariance`` on records already compiled by
-    ``_compile_records``, with ``trials`` and ``seed`` already checked."""
+    ``_compile_records``, with the ideal's ``_generator_moves`` and with
+    ``trials`` and ``seed`` already checked."""
     n = ideal.n
     report = VerificationReport()
     free = ideal.free_roots()
-    moves = _generator_moves(ideal)
 
     witness = None
     for record, terms in zip(records, compiled):
@@ -445,14 +449,14 @@ def _values(
     return total
 
 
-def _generator_moves(ideal: RegularIdeal) -> dict[int, dict[int, tuple[int, int]]]:
+def _generator_moves(ideal: RegularIdeal) -> _Moves:
     """For each generator (i+1,i) outside the ideal, in order of i, the map
     from a free position k to (sign, r) when the generator's bracket with
     the variable at k is sign times the variable at free position r; a
     bracket onto an ideal cell is zero in the factor and has no entry."""
     variables = ideal.free_roots()
     position = {root: k for k, root in enumerate(variables)}
-    moves: dict[int, dict[int, tuple[int, int]]] = {}
+    moves: _Moves = {}
     for i in range(1, ideal.n):
         if (i + 1, i) in ideal:
             continue
@@ -597,7 +601,7 @@ def _oracle_blocks(ideal: RegularIdeal, max_degree: int) -> _Blocks:
     gets the same vector and scaling as from the full system in that order."""
     variables = ideal.free_roots()
     blocks: _Blocks = {}
-    for weight, (kept, rows) in _oracle_system(ideal, max_degree).items():
+    for weight, (kept, rows) in _oracle_system(ideal, max_degree, _generator_moves(ideal)).items():
         monos = {c: _monomial([variables[k] for k in combo]) for c, combo in kept.items()}
         order = sorted(kept, key=lambda c: (len(monos[c]), monos[c]))
         vectors = linalg._kernel([[row.get(c, 0) for c in order] for row in rows], len(order))
@@ -639,10 +643,11 @@ def _oracle_contains(system: _System, compiled: list[list[tuple[int, tuple]]]) -
     return answers
 
 
-def _oracle_system(ideal: RegularIdeal, max_degree: int) -> _System:
+def _oracle_system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System:
     """The oracle's equations less every coefficient they force to zero: for
     each weight code that keeps a column, the kept columns and the rows left
     on them, whose kernel is the generator brackets' kernel in that weight.
+    ``generators`` is the ideal's ``_generator_moves``.
 
     Brackets shift a monomial's torus weight, so the kernel splits across
     weights.  A one-term equation forces its monomial's coefficient to zero.
@@ -652,7 +657,7 @@ def _oracle_system(ideal: RegularIdeal, max_degree: int) -> _System:
     the same forced set as the full system.
     """
     n = ideal.n
-    moves, power, groups = _oracle_columns(ideal, max_degree)
+    moves, power, groups = _oracle_columns(ideal, max_degree, generators)
     system: _System = {}
     for weight, members in groups.items():
         if len(members) == 1:
@@ -714,11 +719,12 @@ def _oracle_system(ideal: RegularIdeal, max_degree: int) -> _System:
 
 
 def _oracle_columns(
-    ideal: RegularIdeal, max_degree: int
+    ideal: RegularIdeal, max_degree: int, generators: _Moves
 ) -> tuple[list[list[tuple[int, int, int, int]]], list[int], dict[int, list]]:
     """The oracle's bracket moves per variable, each variable's position
     code, and its monomials of degree 1..``max_degree`` by weight code, less
-    the first round of forced monomials.
+    the first round of forced monomials; ``generators`` is the ideal's
+    ``_generator_moves``.
 
     Generator i moves a variable b onto at most one variable r, and no two
     onto the same r, so the equation of an image m/b*r has one term per
@@ -751,7 +757,7 @@ def _oracle_columns(
     power = [base**k for k in range(len(variables))]
     moves: list[list[tuple[int, int, int, int]]] = [[] for _ in variables]
     targets = [0] * n
-    for i, table in _generator_moves(ideal).items():
+    for i, table in generators.items():
         for k, (sign, r) in table.items():
             moves[k].append((sign, (power[r] - power[k]) * n + i, i, r))
             targets[i] |= 1 << r
@@ -914,10 +920,11 @@ def full_report(
     records_ok = report.checks[-1].status == "pass"
 
     # Compiled once: Poisson annihilation, the trials and the Jacobian rows
-    # all read these terms.
+    # all read these terms; the brackets and the oracle share the moves.
     compiled = _compile_records(records, ideal) if records_ok else []
+    moves = _generator_moves(ideal)
     if records_ok:
-        report.extend(_check_compiled(records, compiled, ideal, trials, seed))
+        report.extend(_check_compiled(records, compiled, ideal, moves, trials, seed))
     else:
         skip("poisson_annihilation")
         skip("coadjoint_trials")
@@ -964,7 +971,7 @@ def full_report(
             low = [k for k, r in enumerate(records) if r.invariant.degree() <= max_degree]
             if not low:
                 return "no low-degree invariants"
-            system = _oracle_system(ideal, max_degree)
+            system = _oracle_system(ideal, max_degree, moves)
             for k, ok in zip(low, _oracle_contains(system, [compiled[k] for k in low])):
                 if not ok:
                     raise ConstructionError(

@@ -12,7 +12,6 @@ from regfactor import (
     DualPoint,
     GroupElement,
     InputError,
-    LambdaPolynomial,
     MinorSpec,
     Permutation,
     Polynomial,
@@ -128,9 +127,6 @@ _NUMBER_ENTRIES = {
     "Polynomial.__rsub__": lambda v: v - _Y,
     "Polynomial.__mul__": lambda v: _Y * v,
     "Polynomial.__pow__": lambda v: _Y ** v,
-    "LambdaPolynomial.lam": lambda v: LambdaPolynomial.lam(v),
-    "LambdaPolynomial.__mul__": lambda v: LambdaPolynomial.zero() * v,
-    "LambdaPolynomial.coefficient": lambda v: LambdaPolynomial.lam().coefficient(v),
     "check_root": lambda v: check_root(3, (v, 1)),
     "RegularIdeal": lambda v: RegularIdeal(v, frozenset()),
     "close_ideal.n": lambda v: close_ideal(v, [(2, 1)]),

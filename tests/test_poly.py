@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from regfactor import (
     InputError,
-    LambdaPolynomial,
     Polynomial,
     bracket_single,
     close_ideal,
@@ -82,8 +81,7 @@ def test_numbers_must_be_int():
     # arithmetic with a number that is not an int raises InputError, also
     # when the other side is zero; anything that is no number at all is left
     # to Python's TypeError
-    lam = LambdaPolynomial.lam()
-    for left in (y(2, 1), Polynomial.zero(), lam, LambdaPolynomial.zero()):
+    for left in (y(2, 1), Polynomial.zero()):
         for bad in (Fraction(1, 2), 1.5, True):
             for op in (lambda a, b: a * b, lambda a, b: b * a):
                 with pytest.raises(InputError):
@@ -95,8 +93,6 @@ def test_numbers_must_be_int():
                 op(y(2, 1), bad)
     with pytest.raises(TypeError):
         y(2, 1) * "2"
-    with pytest.raises(TypeError):
-        lam + 1  # LambdaPolynomial + and - take only LambdaPolynomials
     # == never raises: a number that is not an int equals no polynomial
     one = Polynomial.constant(1)
     assert one == 1
@@ -246,31 +242,6 @@ def test_generator_bracket_matches_general_bracket_mod_ideal():
             if (i + 1, i) in ideal:
                 expected = Polynomial.zero()
             assert poisson_bracket_generator(i, p, ideal) == expected
-
-
-# --- lambda polynomials ------------------------------------------------------
-
-
-def test_lambda_polynomial_basics():
-    lam = LambdaPolynomial.lam(-1)
-    assert lam.degree == 1
-    assert (lam * lam).degree == 2
-    value = LambdaPolynomial.of_poly(y(2, 1)) + lam
-    assert value.coefficient(0) == y(2, 1)
-    assert value.coefficient(1) == Polynomial.constant(-1)
-    assert value.leading() == Polynomial.constant(-1)
-    assert (value - value).is_zero
-    assert LambdaPolynomial.zero().degree == -1
-
-
-def test_lambda_polynomial_json():
-    lam = LambdaPolynomial.lam()
-    value = LambdaPolynomial.of_poly(y(3, 1) * y(2, 1)) + lam * lam
-    doc = value.to_json()
-    assert doc["degree"] == 2
-    # within a monomial the greater root (same column, larger row) prints first
-    assert doc["coefficients"] == ["y[3,1]*y[2,1]", "0", "1"]
-    assert LambdaPolynomial.zero().to_json() == {"degree": -1, "coefficients": []}
 
 
 # --- jacobian rank -----------------------------------------------------------

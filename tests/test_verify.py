@@ -671,7 +671,7 @@ def test_oracle_first_round_is_the_one_entry_equations():
     cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
     for ideal, degree in cases + [(n7_ideal(), 4)]:
         variables = ideal.free_roots()
-        _, _, groups = verify._oracle_columns(ideal, degree)
+        _, _, groups = verify._oracle_columns(ideal, degree, verify._generator_moves(ideal))
         kept = [tuple(variables[support[s]] for s in slots)
                 for members in groups.values() for support, (slots, _) in members]
         monos, forced = one_entry_columns(ideal, degree)
@@ -732,7 +732,7 @@ def test_invariant_in_span(monkeypatch):
     # factor against whatever equation system the oracle returns
     def outcome(basis):
         monkeypatch.setattr(verify, "_oracle_system",
-                            lambda ideal, degree: system_of(basis, ideal, degree))
+                            lambda ideal, degree, moves: system_of(basis, ideal, degree))
         check = full_report(close_ideal(3, []), trials=1).checks[-1]
         assert check.name == "oracle_containment"
         return check.status, check.detail
@@ -757,7 +757,7 @@ def test_block_containment_matches_one_global_in_span():
     gained = 0
     for n in range(1, 7):
         for ideal in all_regular_ideals(n):
-            system = verify._oracle_system(ideal, 3)
+            system = verify._oracle_system(ideal, 3, verify._generator_moves(ideal))
             kept = {combo for columns, _ in system.values() for combo in columns.values()}
             forced = {}
             for degree in (1, 2, 3):
@@ -811,7 +811,8 @@ def test_oracle_kernel_sizes_match_the_solved_blocks():
     cases = [(ideal, d) for n in range(1, 7) for ideal in all_regular_ideals(n)
              for d in range(1, 5)]
     for ideal, degree in cases + [(n7_ideal(), 5)]:
-        sizes = verify._oracle_sizes(verify._oracle_system(ideal, degree))
+        moves = verify._generator_moves(ideal)
+        sizes = verify._oracle_sizes(verify._oracle_system(ideal, degree, moves))
         blocks = verify._oracle_blocks(ideal, degree)
         assert {w: k for w, k in sizes.items() if k} == {
             w: len(vectors) for w, (_, vectors) in blocks.items()

@@ -21,7 +21,6 @@ from .minors import (
     enumerate_extremal,
     is_extremal,
     minor_degree,
-    minor_lambda,
     minor_top,
     shift_spec,
 )
@@ -62,8 +61,8 @@ __all__ = [
     "Diagram", "DiagramCounts", "Symbol", "build_diagram", "crosscheck_symbols",
     "BudgetError", "ConstructionError", "InputError", "RegFactorError",
     "InvariantRecord", "all_invariants", "invariant_for", "triangular_decomposition",
-    "MinorSpec", "enumerate_extremal", "is_extremal", "minor_degree", "minor_lambda",
-    "minor_top", "shift_spec",
+    "MinorSpec", "enumerate_extremal", "is_extremal", "minor_degree", "minor_top",
+    "shift_spec",
     "Polynomial", "bracket_single",
     "RegularIdeal", "Root", "close_ideal", "positive_roots", "prec_key",
     "CheckResult", "DualPoint", "GroupElement", "SkewStats", "VerificationReport",

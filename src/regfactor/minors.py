@@ -15,8 +15,7 @@ a perfect matching of its support, and its highest coefficient is the
 signed sum over exactly those matchings, every coefficient +-1 (the
 matching view of generic determinants: Edmonds 1967; Murota, Matrices and
 Matroids).  ``minor_degree`` and ``minor_top`` read both off integer passes
-over column masks; ``minor_lambda`` expands the whole minor into its tuple
-of coefficients, whose ``len(...) - 1`` and ``[-1]`` are those two values.
+over column masks; no function expands the whole minor.
 """
 
 from __future__ import annotations
@@ -105,9 +104,8 @@ def minor_degree(ideal: RegularIdeal, spec: MinorSpec) -> int:
 
 
 def minor_top(ideal: RegularIdeal, spec: MinorSpec) -> tuple[int, Polynomial]:
-    """Degree and highest coefficient of the minor, equal to
-    ``len(minor_lambda(ideal, spec)) - 1`` and its ``[-1]``; (-1, 0) for a
-    zero minor.
+    """Degree of the minor and its highest coefficient in the auxiliary
+    variable, a polynomial in the root variables; (-1, 0) for a zero minor.
 
     Forward pass over rows: a partial matching survives only while the
     backward pass says its remaining rows can still reach the degree, so
@@ -141,41 +139,6 @@ def minor_top(ideal: RegularIdeal, spec: MinorSpec) -> tuple[int, Polynomial]:
     return degree, Polynomial(
         {tuple((r, 1) for r in sorted(roots, key=prec_key)): sign for roots, sign in layer[full]}
     )
-
-
-def minor_lambda(ideal: RegularIdeal, spec: MinorSpec) -> tuple[Polynomial, ...]:
-    """Exact determinant of the selected submatrix of the characteristic
-    matrix, expanded over column subsets: its coefficients in the auxiliary
-    variable from the constant term up, the last one nonzero; () for a zero
-    minor."""
-    zero = Polynomial.zero()
-    cells = [[(c, None if root is None else Polynomial.variable(root)) for c, root in row]
-             for row in _row_cells(ideal, spec)]
-    dp: dict[int, tuple[Polynomial, ...]] = {0: (Polynomial.constant(1),)}
-    for row in cells:
-        ndp: dict[int, tuple[Polynomial, ...]] = {}
-        for mask, val in dp.items():
-            for c, var in row:
-                if mask >> c & 1:
-                    continue
-                # Parity of already-used columns to the right of c.
-                odd = (mask >> (c + 1)).bit_count() & 1
-                if var is None:
-                    # -lambda raises every power by one and negates.
-                    term = (zero,) + (val if odd else tuple([-p for p in val]))
-                else:
-                    factor = -var if odd else var
-                    term = tuple([p * factor for p in val])
-                key = mask | 1 << c
-                have = ndp.get(key)
-                if have is not None:
-                    if len(have) < len(term):
-                        have, term = term, have
-                    # Past the shorter tuple, the longer one's coefficients stand alone.
-                    term = tuple([p + q for p, q in zip(have, term)]) + have[len(term):]
-                ndp[key] = term
-        dp = ndp
-    return dp.get((1 << spec.size) - 1, ())
 
 
 Direction = Literal["down", "left"]
@@ -238,11 +201,13 @@ def enumerate_extremal(
     """All extremal minors with a nonconstant highest coefficient, up to the
     given size, in canonical (size, rows, cols) order.
 
-    Minors of full diagonal degree are skipped: their highest coefficient
-    is a scalar and carries no invariant.  Raises InputError, before any
-    work, unless ``budget`` is an int of at least 0 and ``max_size`` None or
-    an int of at least 1; and BudgetError (partial results attached, flagged
-    invalid) when the scan would examine more candidate specs than ``budget``.
+    Each candidate's degree comes from ``minor_degree`` and is passed on to
+    ``is_extremal``.  Minors of full diagonal degree are skipped: their
+    highest coefficient is a scalar and carries no invariant.  Raises
+    InputError, before any work, unless ``budget`` is an int of at least 0
+    and ``max_size`` None or an int of at least 1; and BudgetError (partial
+    results attached, flagged invalid) when the scan would examine more
+    candidate specs than ``budget``.
     """
     require_ints((budget,), "budget must be an integer, got {!r}", budget)
     if max_size is not None:
@@ -265,7 +230,7 @@ def enumerate_extremal(
                         partial=results,
                     )
                 spec = MinorSpec(rows, cols)
-                degree = len(minor_lambda(ideal, spec)) - 1
+                degree = minor_degree(ideal, spec)
                 if degree < 0 or degree == size:
                     continue
                 if is_extremal(ideal, spec, degree):

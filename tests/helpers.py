@@ -308,7 +308,7 @@ def naive_minor(ideal: RegularIdeal, rows, cols) -> list[Polynomial]:
     characteristic matrix, as a coefficient list in the auxiliary variable
     from degree 0 upward (trailing zeros trimmed).
 
-    Entirely independent of the library's subset expansion: entries are
+    Entirely independent of the library's matching kernel: entries are
     plain (lambda-degree, Polynomial) pairs and the sum runs over all
     permutations with the inversion-parity sign.
     """
@@ -344,6 +344,13 @@ def naive_minor(ideal: RegularIdeal, rows, cols) -> list[Polynomial]:
         acc[lam_power] = acc.get(lam_power, Polynomial.zero()) + coef
     top = max((p for p, v in acc.items() if not v.is_zero), default=-1)
     return [acc.get(p, Polynomial.zero()) for p in range(top + 1)]
+
+
+def naive_top(ideal: RegularIdeal, rows, cols) -> tuple[int, Polynomial]:
+    """Degree and highest coefficient of ``naive_minor``, the pair
+    ``minor_top`` returns: (-1, 0) for a zero minor."""
+    coeffs = naive_minor(ideal, rows, cols)
+    return len(coeffs) - 1, coeffs[-1] if coeffs else Polynomial.zero()
 
 
 def all_regular_ideals(n: int) -> list[RegularIdeal]:

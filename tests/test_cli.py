@@ -11,6 +11,7 @@ import pytest
 
 from regfactor import cli
 from regfactor.cli import _COMMANDS, _FLAGS, build_parser, main
+from helpers import all_regular_ideals, ideal_doc
 
 
 @pytest.fixture()
@@ -373,3 +374,20 @@ def test_golden_stdout(instance, command, fmt, tmp_path, capsys):
     code, out, err = run(capsys, command, str(path), *extra, "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[instance, command, fmt]
+
+
+@pytest.mark.slow
+def test_extremal_scan_of_every_ideal_pinned(tmp_path, capsys):
+    # sha256 over every regular ideal with n <= 6 in all_regular_ideals order
+    # of its extremal-scan JSON run: the exit code on a line, then stdout
+    path = tmp_path / "ideal.json"
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            path.write_text(json.dumps(ideal_doc(ideal)))
+            code, out, err = run(capsys, "extremal-scan", str(path), "--format", "json")
+            assert err == ""
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "36116c2c960008875867bfdab0be4982ff7f909326caa355c2b272e95a560503"
+    )

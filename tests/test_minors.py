@@ -15,7 +15,6 @@ from regfactor import (
     enumerate_extremal,
     is_extremal,
     minor_degree,
-    minor_lambda,
     minor_top,
     positive_roots,
     shift_spec,
@@ -26,6 +25,7 @@ from helpers import (
     ideal_doc,
     n7_ideal,
     naive_minor,
+    naive_top,
     phi_matrix,
     poisson_bracket_generator,
     random_ideal,
@@ -34,12 +34,20 @@ from helpers import (
 
 
 def _char_cell(i, j, phi_cell):
-    """Cell (i, j) of the characteristic matrix, from Phi's cell, as its
-    coefficients in the auxiliary variable: minus that variable on the
-    diagonal, Phi's cell off it (none when that is zero)."""
+    """Degree and highest coefficient of cell (i, j) of the characteristic
+    matrix, from Phi's cell: minus the auxiliary variable on the diagonal,
+    Phi's cell off it, (-1, 0) when that is zero."""
     if i == j:
-        return (Polynomial.zero(), Polynomial.constant(-1))
-    return () if phi_cell.is_zero else (phi_cell,)
+        return (1, Polynomial.constant(-1))
+    return (-1 if phi_cell.is_zero else 0, phi_cell)
+
+
+def _kernel(ideal, spec):
+    """``minor_top`` of the spec, after checking that ``minor_degree``
+    agrees with its degree."""
+    degree, top = minor_top(ideal, spec)
+    assert minor_degree(ideal, spec) == degree
+    return degree, top
 
 
 def test_phi_pattern_reference():
@@ -52,7 +60,7 @@ def test_phi_pattern_reference():
                 assert cell.is_zero
             else:
                 assert cell == y(i, j)
-            assert minor_lambda(ideal, MinorSpec((i,), (j,))) == _char_cell(i, j, cell)
+            assert _kernel(ideal, MinorSpec((i,), (j,))) == _char_cell(i, j, cell)
     # zeros precisely at the ideal inside the strict lower triangle
     zero_cells = {
         (i, j)
@@ -71,17 +79,19 @@ def test_phi_small_cases():
     phi = phi_matrix(full)
     assert all(c.is_zero for row in phi for c in row)
     assert all(
-        minor_lambda(full, MinorSpec((i,), (j,))) == _char_cell(i, j, phi[i - 1][j - 1])
+        _kernel(full, MinorSpec((i,), (j,))) == _char_cell(i, j, phi[i - 1][j - 1])
         for i in range(1, 4)
         for j in range(1, 4)
     )
 
 
 def test_minor_reference_four_by_four():
-    # rows {2,3,4,7} x cols {1,2,3,4} of the n=7 instance, expanded by hand
+    # rows {2,3,4,7} x cols {1,2,3,4} of the n=7 instance, expanded by hand:
+    # the permutation-sum reference gives every coefficient, the kernel the
+    # degree and the highest one
     ideal = n7_ideal()
     spec = MinorSpec((2, 3, 4, 7), (1, 2, 3, 4))
-    value = minor_lambda(ideal, spec)
+    value = naive_minor(ideal, spec.rows, spec.cols)
     assert len(value) - 1 == 2
     assert value[2] == y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1)
     assert value[1] == (
@@ -90,29 +100,23 @@ def test_minor_reference_four_by_four():
         + y(7, 4) * y(3, 1) * y(4, 3)
     )
     assert value[0] == y(7, 4) * y(2, 1) * y(3, 2) * y(4, 3)
-    assert minor_degree(ideal, spec) == 2
-    assert minor_top(ideal, spec) == (2, y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1))
+    assert _kernel(ideal, spec) == (2, y(7, 4) * y(4, 1) + y(7, 3) * y(3, 1))
 
 
 def test_minor_reference_three_by_three():
     ideal = n7_ideal()
-    value = minor_lambda(ideal, MinorSpec((5, 6, 7), (2, 3, 4)))
-    assert len(value) - 1 == 0
     expected = (
         y(5, 2) * y(6, 3) * y(7, 4)
         - y(5, 2) * y(6, 4) * y(7, 3)
         - y(5, 3) * y(6, 2) * y(7, 4)
         + y(5, 4) * y(6, 2) * y(7, 3)
     )
-    assert value[0] == expected
+    assert _kernel(ideal, MinorSpec((5, 6, 7), (2, 3, 4))) == (0, expected)
 
 
 def test_minor_diagonal_cell():
     ideal = close_ideal(4, [])
-    value = minor_lambda(ideal, MinorSpec((2,), (2,)))
-    assert len(value) - 1 == 1
-    assert value[1] == Polynomial.constant(-1)
-    assert value[0].is_zero
+    assert _kernel(ideal, MinorSpec((2,), (2,))) == (1, Polynomial.constant(-1))
 
 
 def test_minor_input_errors():
@@ -121,8 +125,6 @@ def test_minor_input_errors():
     with pytest.raises(InputError):
         MinorSpec((2, 1), (1, 2))
     ideal = close_ideal(3, [])
-    with pytest.raises(InputError):
-        minor_lambda(ideal, MinorSpec((4,), (1,)))
     with pytest.raises(InputError):
         minor_top(ideal, MinorSpec((1,), (4,)))
     with pytest.raises(InputError):
@@ -191,21 +193,6 @@ def test_enumerate_order_is_canonical():
     assert keys == sorted(keys)
 
 
-def test_minor_agrees_with_permutation_sum_small():
-    import itertools
-
-    rng = random.Random(41)
-    for n in (2, 3, 4):
-        for ideal in (close_ideal(n, []), random_ideal(rng, n=n)):
-            indices = range(1, n + 1)
-            for size in range(1, n + 1):
-                for rows in itertools.combinations(indices, size):
-                    for cols in itertools.combinations(indices, size):
-                        value = minor_lambda(ideal, MinorSpec(rows, cols))
-                        expected = naive_minor(ideal, rows, cols)
-                        assert list(value) == expected
-
-
 def test_degree_bounded_by_diagonal_overlap():
     rng = random.Random(42)
     for _ in range(40):
@@ -214,23 +201,20 @@ def test_degree_bounded_by_diagonal_overlap():
         size = rng.randint(1, n)
         rows = tuple(sorted(rng.sample(range(1, n + 1), size)))
         cols = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        value = minor_lambda(ideal, MinorSpec(rows, cols))
         overlap = len(set(rows) & set(cols))
-        assert len(value) - 1 <= overlap
+        assert minor_degree(ideal, MinorSpec(rows, cols)) <= overlap
 
 
 def test_empty_spec_is_the_unit():
     ideal = close_ideal(3, [])
-    value = minor_lambda(ideal, MinorSpec((), ()))
-    assert value == (1,) and isinstance(value[0], Polynomial)
+    assert _kernel(ideal, MinorSpec((), ())) == (0, Polynomial.constant(1))
     # a zero minor: row 1 has no nonzero cell in columns 2 and 3
-    assert minor_lambda(ideal, MinorSpec((1, 2), (2, 3))) == ()
-    assert minor_top(ideal, MinorSpec((), ())) == (0, Polynomial.constant(1))
+    assert _kernel(ideal, MinorSpec((1, 2), (2, 3))) == (-1, Polynomial.zero())
 
 
 def test_matching_kernel_exhaustive_small():
-    # every spec of every regular ideal for n <= 5 (1, 2, 5, 14, 42 ideals)
-    # against the permutation-sum oracle, the full expansion included
+    # every spec of every regular ideal for n <= 5 (1, 2, 5, 14, 42 ideals):
+    # degree and highest coefficient against the permutation-sum oracle
     import itertools
 
     for n in range(1, 6):
@@ -240,25 +224,20 @@ def test_matching_kernel_exhaustive_small():
                 for rows in itertools.combinations(indices, size):
                     for cols in itertools.combinations(indices, size):
                         spec = MinorSpec(rows, cols)
-                        expected = naive_minor(ideal, rows, cols)
-                        assert minor_lambda(ideal, spec) == tuple(expected)
-                        degree, top = minor_top(ideal, spec)
-                        assert degree == len(expected) - 1 == minor_degree(ideal, spec)
-                        if expected:
-                            assert top == expected[-1]
-                            assert_unit_coefficients(top)
-                        else:
-                            assert top.is_zero
+                        expected = naive_top(ideal, rows, cols)
+                        assert _kernel(ideal, spec) == expected
+                        if expected[0] >= 0:
+                            assert_unit_coefficients(expected[1])
 
 
 def test_extremal_top_coefficients_are_invariant():
     # the defining property (Theorem 2.5): every extremal minor's highest
-    # coefficient is annihilated by all subdiagonal generator brackets, on
-    # every regular ideal with n <= 5 and on the n=7 reference
+    # coefficient, at every size, is annihilated by all subdiagonal generator
+    # brackets, on every regular ideal with n <= 5 and on the n=7 reference
     ideals = [i for n in range(1, 6) for i in all_regular_ideals(n)] + [n7_ideal()]
     for ideal in ideals:
-        for spec in enumerate_extremal(ideal, max_size=3, budget=100000):
-            top = minor_lambda(ideal, spec)[-1]
+        for spec in enumerate_extremal(ideal):
+            _, top = minor_top(ideal, spec)
             for i in range(1, ideal.n):
                 residual = poisson_bracket_generator(i, top, ideal)
                 assert residual.is_zero, (ideal_doc(ideal), spec, i)
@@ -310,9 +289,9 @@ def test_extremal_scan_is_complete():
 @pytest.mark.slow
 def test_extremal_top_coefficients_are_invariant_n6():
     # Theorem 2.5 on every n=6 ideal: the highest coefficient of every
-    # extremal minor of size <= 3 is annihilated by every generator bracket
+    # extremal minor, at every size, is annihilated by every generator bracket
     for ideal in all_regular_ideals(6):
-        for spec in enumerate_extremal(ideal, max_size=3):
+        for spec in enumerate_extremal(ideal):
             _, top = minor_top(ideal, spec)
             for i in range(1, ideal.n):
                 residual = poisson_bracket_generator(i, top, ideal)

@@ -24,6 +24,7 @@ from .minors import (
     minor_top,
     shift_spec,
 )
+from .oracle import oracle_invariants
 from .poly import Polynomial, bracket_single
 from .roots import (
     RegularIdeal,
@@ -41,7 +42,6 @@ from .verify import (
     check_invariance,
     coadjoint_act,
     full_report,
-    oracle_invariants,
     skew_rank_stats,
 )
 from .weyl import (

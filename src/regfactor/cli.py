@@ -20,8 +20,9 @@ from .diagram import build_diagram
 from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
 from .invariants import all_invariants
 from .minors import enumerate_extremal, minor_degree
+from .oracle import oracle_invariants
 from .roots import RegularIdeal, close_ideal
-from .verify import full_report, oracle_invariants, skew_rank_stats
+from .verify import full_report, skew_rank_stats
 from .weyl import column_max_permutation, inversions, reflection_product
 
 EXIT_OK = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
 # The budget of every budgeted call (oracle monomials, extremal-scan specs)
@@ -44,3 +45,17 @@ def require_ints(values: Iterable, message: str, *args) -> None:
     ``values`` is an ``int``; a bool, a float or a rational is not one."""
     if not set(map(type, values)) <= _INT:
         raise InputError(message.format(*args))
+
+
+def _monomial_scan(variables: int, max_degree, budget, budget_name: str) -> int:
+    """The number of nonconstant monomials of degree at most ``max_degree``
+    in ``variables`` variables, the oracle's scan.  Raises InputError first
+    unless ``max_degree`` and ``budget`` are ints, ``max_degree`` at least 1
+    and ``budget`` at least 0; ``budget_name`` names the budget's argument."""
+    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
+    require_ints((budget,), budget_name + " must be an integer, got {!r}", budget)
+    if max_degree < 1:
+        raise InputError("max_degree must be at least 1")
+    if budget < 0:
+        raise InputError("budget must be at least 0")
+    return comb(variables + max_degree, max_degree) - 1 if variables else 0

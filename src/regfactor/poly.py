@@ -8,18 +8,22 @@ order: higher total degree first, ties broken lexicographically on the
 expanded variable sequence.
 
 The module also carries the structure constants of the algebra: the
-bracket of two basis vectors.
+bracket of two basis vectors, and the factor's bracket tables built from
+them in one scan.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from numbers import Number
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError, require_ints
-from .roots import Root, prec_key
+from .roots import RegularIdeal, Root, prec_key
 
 Monomial = tuple[tuple[Root, int], ...]
+# Per generator i, free position -> (sign, image position): _generator_moves.
+_Moves = dict[int, dict[int, tuple[int, int]]]
 
 _ONE: Monomial = ()
 
@@ -241,3 +245,39 @@ def bracket_single(a: Root, b: Root) -> Optional[tuple[int, Root]]:
     if l == i:
         return (-1, (k, j))
     return None
+
+
+def _bracket_table(ideal: RegularIdeal) -> list[tuple[int, int, int, int]]:
+    """(a, b, sign, c) for each pair a < b of positions in
+    ``ideal.free_roots()`` whose bracket is sign times the free root at
+    position c; a bracket onto an ideal cell is zero in the factor."""
+    basis = ideal.free_roots()
+    position = {root: c for c, root in enumerate(basis)}
+    table = []
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            hit = bracket_single(basis[a], basis[b])
+            if hit is not None and hit[1] in position:
+                table.append((a, b, hit[0], position[hit[1]]))
+    return table
+
+
+def _generator_moves(ideal: RegularIdeal) -> _Moves:
+    """For each generator (i+1,i) outside the ideal, in order of i, the map
+    from a free position k to (sign, r) when the generator's bracket with
+    the variable at k is sign times the variable at free position r, keys
+    ascending.  Read off ``_bracket_table``: an entry (a, b, s, c) with the
+    generator at a moves b to (s, c), and with it at b moves a to (-s, c)."""
+    generator = {k: j for k, (i, j) in enumerate(ideal.free_roots()) if i == j + 1}
+    moves: _Moves = {i: {} for i in sorted(generator.values())}
+    for a, b, sign, c in _bracket_table(ideal):
+        if a in generator:
+            moves[generator[a]][b] = (sign, c)
+        if b in generator:
+            moves[generator[b]][a] = (-sign, c)
+    return moves
+
+
+def _monomial(roots: Sequence[Root]) -> Monomial:
+    """The monomial of a list of roots already in decreasing order."""
+    return tuple((root, len(list(copies))) for root, copies in groupby(roots))

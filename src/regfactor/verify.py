@@ -2,12 +2,11 @@
 
 Coadjoint action through matrix conjugation plus projection, generator
 brackets, randomized invariance trials and Jacobian ranks on compiled
-record terms, the skew-form rank at the distinct-prime point, a
-brute-force low-degree invariant oracle (one equation system per torus
-weight: solved for the basis, counted for the report), and an aggregate
-report over every checkable identity.  All trials use seeded generators
-with small integer entries, so a passing seed passes forever; every number
-taken or given is a plain ``int``.
+record terms, the skew-form rank at the distinct-prime point, and an
+aggregate report over every checkable identity, the oracle's containment
+of the records among them.  All trials use seeded generators with small
+integer entries, so a passing seed passes forever; every number taken or
+given is a plain ``int``.
 """
 
 from __future__ import annotations
@@ -16,15 +15,16 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from math import comb, prod
+from math import prod
 from operator import add, mul, ne
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .diagram import build_diagram, crosscheck_symbols
-from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
+from .errors import DEFAULT_BUDGET, ConstructionError, InputError, _monomial_scan, require_ints
 from .invariants import InvariantRecord, all_invariants, triangular_decomposition
-from .poly import Monomial, Polynomial, bracket_single
+from .oracle import _containment
+from .poly import Polynomial, _bracket_table, _generator_moves, _monomial, _Moves
 from .roots import RegularIdeal, Root
 from .weyl import column_max_permutation, inversions, reflection_product
 
@@ -37,8 +37,6 @@ _BYTE_DRAW = bytes(((b >> _SHIFT) + _ENTRY_RANGE[0]) & 0xFF for b in range(256))
 _BYTE_REJECTED = bytes(b for b in range(256) if b >> _SHIFT >= _WIDTH)
 # Trials that check_invariance runs together, one column entry each.
 _BLOCK = 128
-# Per generator i, free position -> (sign, image position): _generator_moves.
-_Moves = dict[int, dict[int, tuple[int, int]]]
 
 
 def _draws(rng: random.Random, count: int) -> array:
@@ -101,12 +99,16 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A lower unitriangular matrix with int entries."""
+    """A lower unitriangular matrix with int entries, kept as a tuple of
+    tuples whatever sequences it is given."""
 
     rows: tuple[tuple, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         n = len(self.rows)
+        if n < 1:
+            raise InputError("n must be at least 1")
         require_ints(chain.from_iterable(self.rows), "group element entries must be integers")
         for i, row in enumerate(self.rows):
             if len(row) != n:
@@ -449,25 +451,6 @@ def _values(
     return total
 
 
-def _generator_moves(ideal: RegularIdeal) -> _Moves:
-    """For each generator (i+1,i) outside the ideal, in order of i, the map
-    from a free position k to (sign, r) when the generator's bracket with
-    the variable at k is sign times the variable at free position r; a
-    bracket onto an ideal cell is zero in the factor and has no entry."""
-    variables = ideal.free_roots()
-    position = {root: k for k, root in enumerate(variables)}
-    moves: _Moves = {}
-    for i in range(1, ideal.n):
-        if (i + 1, i) in ideal:
-            continue
-        table = moves[i] = {}
-        for k, root in enumerate(variables):
-            hit = bracket_single((i + 1, i), root)
-            if hit is not None and hit[1] in position:
-                table[k] = (hit[0], position[hit[1]])
-    return moves
-
-
 def _bracket(
     terms: list[tuple[int, tuple[int, ...]]], table: dict[int, tuple[int, int]]
 ) -> dict[tuple[int, ...], int]:
@@ -520,21 +503,6 @@ def skew_rank_stats(ideal: RegularIdeal) -> SkewStats:
     return SkewStats(rank, dim - rank)
 
 
-def _bracket_table(ideal: RegularIdeal) -> list[tuple[int, int, int, int]]:
-    """(a, b, sign, c) for each pair a < b of positions in
-    ``ideal.free_roots()`` whose bracket is sign times the free root at
-    position c."""
-    basis = ideal.free_roots()
-    position = {root: c for c, root in enumerate(basis)}
-    table = []
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            hit = bracket_single(basis[a], basis[b])
-            if hit is not None and hit[1] in position:
-                table.append((a, b, hit[0], position[hit[1]]))
-    return table
-
-
 def _skew_form(
     table: list[tuple[int, int, int, int]], dim: int, x: Sequence[int]
 ) -> list[list[int]]:
@@ -547,286 +515,6 @@ def _skew_form(
     return rows
 
 
-# Per weight code, the oracle's kept columns (key -> combo) and sparse rows.
-_System = dict[int, tuple[dict[int, tuple[int, ...]], list[dict[int, int]]]]
-# Per weight code of the oracle: its kept monomials and kernel vectors.
-_Blocks = dict[int, tuple[list[Monomial], list[list[int]]]]
-
-
-def _oracle_size(ideal: RegularIdeal, max_degree: int) -> int:
-    """Number of nonconstant monomials of degree <= ``max_degree`` the oracle scans."""
-    variables = len(ideal.free_roots())
-    return comb(variables + max_degree, max_degree) - 1 if variables else 0
-
-
-def oracle_invariants(
-    ideal: RegularIdeal,
-    max_degree: int,
-    budget: int = DEFAULT_BUDGET,
-) -> list[Polynomial]:
-    """Brute-force basis of all polynomial invariants up to ``max_degree``.
-
-    Solves for the exact kernel of every subdiagonal generator bracket on
-    the span of non-constant monomials, one torus weight at a time
-    (``_oracle_blocks``).  Basis elements come back with integer coprime
-    coefficients and positive leading term, sorted by degree and then by
-    their strings.  Raises InputError when ``max_degree`` or ``budget`` is
-    not an int, when ``max_degree`` is below 1 or ``budget`` below 0, and
-    BudgetError when there are more than ``budget`` monomials.
-    """
-    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
-    require_ints((budget,), "budget must be an integer, got {!r}", budget)
-    if max_degree < 1:
-        raise InputError("max_degree must be at least 1")
-    if budget < 0:
-        raise InputError("budget must be at least 0")
-    total = _oracle_size(ideal, max_degree)
-    if total > budget:
-        raise BudgetError(f"oracle would scan {total} monomials, budget is {budget}")
-    basis = [
-        Polynomial(dict(zip(monos, vector))).normalize_sign()
-        for monos, vectors in _oracle_blocks(ideal, max_degree).values()
-        for vector in vectors
-    ]
-    basis.sort(key=lambda p: (p.degree(), str(p)))
-    return basis
-
-
-def _oracle_blocks(ideal: RegularIdeal, max_degree: int) -> _Blocks:
-    """``_oracle_system`` solved: for each weight code whose kernel is not
-    zero, the kept monomials in the library's monomial order (fewest
-    distinct variables first, then by the tuples) and the kernel's integer
-    vectors over them, from ``linalg._kernel``.  A forced column is a pivot
-    column of the full system's reduced echelon form, so each free column
-    gets the same vector and scaling as from the full system in that order."""
-    variables = ideal.free_roots()
-    blocks: _Blocks = {}
-    for weight, (kept, rows) in _oracle_system(ideal, max_degree, _generator_moves(ideal)).items():
-        monos = {c: _monomial([variables[k] for k in combo]) for c, combo in kept.items()}
-        order = sorted(kept, key=lambda c: (len(monos[c]), monos[c]))
-        vectors = linalg._kernel([[row.get(c, 0) for c in order] for row in rows], len(order))
-        if vectors:
-            blocks[weight] = ([monos[c] for c in order], vectors)
-    return blocks
-
-
-def _oracle_sizes(system: _System) -> dict[int, int]:
-    """The kernel dimension of each weight of ``system``: its kept columns
-    less the rank of its rows (``linalg._rank``, the forward pass alone)."""
-    sizes = {}
-    for weight, (kept, rows) in system.items():
-        dense = [[row.get(c, 0) for c in kept] for row in rows]
-        sizes[weight] = len(kept) - linalg._rank(dense, len(kept))
-    return sizes
-
-
-def _oracle_contains(system: _System, compiled: list[list[tuple[int, tuple]]]) -> list[bool]:
-    """Whether each compiled polynomial, of degree at most the system's,
-    lies in the oracle's kernel: exactly when each of its terms is a kept
-    column and every remaining row of each weight it holds vanishes on its
-    coefficients."""
-    column = {combo: (weight, c) for weight, (kept, _) in system.items()
-              for c, combo in kept.items()}
-    answers = []
-    for terms in compiled:
-        parts: dict[int, dict[int, int]] = {}
-        for coef, spots in terms:
-            at = column.get(spots)
-            if at is None:
-                answers.append(False)
-                break
-            parts.setdefault(at[0], {})[at[1]] = coef
-        else:
-            answers.append(not any(sum(v * part.get(c, 0) for c, v in row.items())
-                                   for weight, part in parts.items()
-                                   for row in system[weight][1]))
-    return answers
-
-
-def _oracle_system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System:
-    """The oracle's equations less every coefficient they force to zero: for
-    each weight code that keeps a column, the kept columns and the rows left
-    on them, whose kernel is the generator brackets' kernel in that weight.
-    ``generators`` is the ideal's ``_generator_moves``.
-
-    Brackets shift a monomial's torus weight, so the kernel splits across
-    weights.  A one-term equation forces its monomial's coefficient to zero.
-    ``_oracle_columns`` settles the first round of these on supports, so
-    only the monomials it keeps build equations (388 of the 5984 on the n=7
-    reference at degree 4).  A worklist settles the later rounds, reaching
-    the same forced set as the full system.
-    """
-    n = ideal.n
-    moves, power, groups = _oracle_columns(ideal, max_degree, generators)
-    system: _System = {}
-    for weight, members in groups.items():
-        if len(members) == 1:
-            # Any move of a lone member is alone in its equation and forces
-            # it; with no move it is kept, with no equations.
-            (support, (slots, _)), = members
-            for k in support:
-                if moves[k]:
-                    break
-            else:
-                system[weight] = ({0: tuple([support[s] for s in slots])}, [])
-            continue
-        # One sparse row (column -> coefficient) per generator i and image
-        # code; the bracket with b^e is s*e*(mono/b)*r.  Distinct variables
-        # a != b move to distinct images (r and a differ in weight), so each
-        # sets its own entry and no entry cancels.
-        equations: dict[int, dict[int, int]] = {}
-        for col, (support, (slots, exps)) in enumerate(members):
-            start = 0
-            for s in slots:
-                start += power[support[s]]
-            start *= n
-            for k, e in zip(support, exps):
-                for sign, move, _, _ in moves[k]:
-                    row = equations.get(start + move)
-                    if row is None:
-                        equations[start + move] = {col: sign * e}
-                    else:
-                        row[col] = sign * e
-        # A row with one entry here lost its others to the first round and
-        # forces its column; a forced column leaves the (indexed) rows of two
-        # or more entries it is in, and one left with one entry forces on.
-        forced: set[int] = set()
-        rows: list[dict[int, int]] = []
-        for row in equations.values():
-            if len(row) == 1:
-                forced.update(row)
-            else:
-                rows.append(row)
-        rows_of: dict[int, list[dict[int, int]]] = {}
-        for row in rows:
-            for c in row:
-                rows_of.setdefault(c, []).append(row)
-        pending = list(forced)
-        while pending:
-            c = pending.pop()
-            for row in rows_of.get(c, ()):
-                del row[c]
-                if len(row) == 1:
-                    (last,) = row
-                    if last not in forced:
-                        forced.add(last)
-                        pending.append(last)
-        if len(forced) < len(members):
-            kept = {c: tuple([support[s] for s in slots])
-                    for c, (support, (slots, _)) in enumerate(members) if c not in forced}
-            system[weight] = (kept, [row for row in rows if row])
-    return system
-
-
-def _oracle_columns(
-    ideal: RegularIdeal, max_degree: int, generators: _Moves
-) -> tuple[list[list[tuple[int, int, int, int]]], list[int], dict[int, list]]:
-    """The oracle's bracket moves per variable, each variable's position
-    code, and its monomials of degree 1..``max_degree`` by weight code, less
-    the first round of forced monomials; ``generators`` is the ideal's
-    ``_generator_moves``.
-
-    Generator i moves a variable b onto at most one variable r, and no two
-    onto the same r, so the equation of an image m/b*r has one term per
-    i-target (a variable some b moves onto under i) it holds.  b is never an
-    i-target (those lie in row i+1 or column i, b in row i or column i+1),
-    so m is forced when its support misses the guard ``targets[i] & ~bit(r)``
-    of one of its moves.  The walk is over ascending supports of at most
-    ``max_degree`` variables, depth first, carrying their unmet guards.  A
-    branch is cut when an unmet guard has no bit above the last variable;
-    in the last slot the variable is a set bit of the unmet guards' AND.
-    Each kept support gives one member per exponent vector (every exponent
-    at least 1, total at most ``max_degree``), (support, (slots, exponents))
-    with the combo of its copies ``support[s]`` for s in slots, in no set
-    order within a group.
-    """
-    n = ideal.n
-    variables = ideal.free_roots()
-    # A combo is its variables' positions, nondecreasing, one per copy.  Its
-    # position code, built only for monomials that write equations, is the
-    # sum of power[k] = base**k over it; base exceeds every exponent, so the
-    # code is one-to-one, and moving a copy of k to r adds power[r] - power[k].
-    # Its weight code sums big**(i-1) - big**(j-1) over the variables (i,j);
-    # big = 2 * max_degree + 1 spans a weight coordinate, so codes are weights.
-    #
-    # moves[k] lists (s, shift * n + i, i, r) for each generator (i+1,i)
-    # whose bracket with variable k is s*r, r outside the ideal, so the
-    # equation key (code + shift) * n + i is one add.  guards[k] holds, per
-    # move, targets[i] & ~bit(r); targets[i] masks every r generator i reaches.
-    base = max_degree + 1
-    power = [base**k for k in range(len(variables))]
-    moves: list[list[tuple[int, int, int, int]]] = [[] for _ in variables]
-    targets = [0] * n
-    for i, table in generators.items():
-        for k, (sign, r) in table.items():
-            moves[k].append((sign, (power[r] - power[k]) * n + i, i, r))
-            targets[i] |= 1 << r
-    guards = [tuple(targets[i] & ~(1 << r) for _, _, i, r in mk) for mk in moves]
-    big = 2 * max_degree + 1
-    torus = [big ** (i - 1) - big ** (j - 1) for i, j in variables]
-    # patterns[s] holds, per exponent vector of a support of s variables,
-    # the nondecreasing slots of the monomial's copies and the exponents.
-    patterns: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[((), ())]]
-    for s in range(min(max_degree, len(variables))):
-        patterns.append([(slots + (s,) * x, exps + (x,)) for slots, exps in patterns[-1]
-                         for x in range(1, max_degree - len(slots) + 1)])
-    everything = (1 << len(variables)) - 1
-    kept: list[tuple[int, ...]] = []
-    # A stack entry is a support, its bitmask and its unmet guards.
-    stack: list[tuple[tuple[int, ...], int, Sequence[int]]] = [((), 0, ())]
-    while stack:
-        support, supp, unmet = stack.pop()
-        low = support[-1] + 1 if support else 0
-        if len(support) + 1 == max_degree:
-            candidates = everything >> low << low
-            for g in unmet:
-                candidates &= g
-            while candidates:
-                bit = candidates & -candidates
-                candidates ^= bit
-                now = supp | bit
-                v = bit.bit_length() - 1
-                for g in guards[v]:
-                    if not g & now:
-                        break
-                else:
-                    kept.append(support + (v,))
-            continue
-        for v in range(low, min(unmet).bit_length() if unmet else len(variables)):
-            bit = 1 << v
-            now = supp | bit
-            left = []
-            for g in guards[v]:
-                if not g & now:
-                    left.append(g)
-            for g in unmet:
-                if not g & bit:
-                    left.append(g)
-            if not left:
-                kept.append(support + (v,))
-            if not left or min(left) >> v + 1:
-                stack.append((support + (v,), now, left))
-    groups: dict[int, list] = {}
-    for support in kept:
-        for pattern in patterns[len(support)]:
-            weight = 0
-            for s in pattern[0]:
-                weight += torus[support[s]]
-            groups.setdefault(weight, []).append((support, pattern))
-    return moves, power, groups
-
-
-def _monomial(roots: Sequence[Root]) -> Monomial:
-    """The monomial of a list of roots already in decreasing order."""
-    mono: list[tuple[Root, int]] = []
-    for root in roots:
-        if mono and mono[-1][0] == root:
-            mono[-1] = (root, mono[-1][1] + 1)
-        else:
-            mono.append((root, 1))
-    return tuple(mono)
-
-
 def full_report(
     ideal: RegularIdeal,
     trials: int = 100,
@@ -836,21 +524,14 @@ def full_report(
 ) -> VerificationReport:
     """Run every checkable identity for one regular factor.
 
-    ``oracle_containment`` reads the oracle's equation system by counts
-    alone (``_oracle_contains``, ``_oracle_sizes``) and builds no basis.
-
     Raises InputError, before any check runs, when ``trials``, ``seed``,
     ``max_degree`` or ``oracle_budget`` is not an int (a bool is not one),
     when ``trials`` or ``max_degree`` is below 1, or when ``oracle_budget``
     is below 0.
     """
     _check_trials(trials, seed)
-    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
-    require_ints((oracle_budget,), "oracle_budget must be an integer, got {!r}", oracle_budget)
-    if max_degree < 1:
-        raise InputError("max_degree must be at least 1")
-    if oracle_budget < 0:
-        raise InputError("budget must be at least 0")
+    oracle_size = _monomial_scan(len(ideal.free_roots()), max_degree, oracle_budget,
+                                 "oracle_budget")
     report = VerificationReport()
     diagram = build_diagram(ideal)
     counts = diagram.counts()
@@ -961,7 +642,6 @@ def full_report(
     else:
         skip("jacobian_rank")
 
-    oracle_size = _oracle_size(ideal, max_degree)
     if not records_ok:
         skip("oracle_containment")
     elif oracle_size > oracle_budget:
@@ -971,13 +651,12 @@ def full_report(
             low = [k for k, r in enumerate(records) if r.invariant.degree() <= max_degree]
             if not low:
                 return "no low-degree invariants"
-            system = _oracle_system(ideal, max_degree, moves)
-            for k, ok in zip(low, _oracle_contains(system, [compiled[k] for k in low])):
+            answers, size = _containment(ideal, max_degree, moves, [compiled[k] for k in low])
+            for k, ok in zip(low, answers):
                 if not ok:
                     raise ConstructionError(
                         f"invariant of {records[k].xi} is outside the oracle kernel"
                     )
-            size = sum(_oracle_sizes(system).values())
             return f"{len(low)} invariants inside a basis of {size}"
 
         run("oracle_containment", check_oracle)

@@ -525,6 +525,12 @@ def one_entry_columns(ideal: RegularIdeal, max_degree: int) -> tuple[set, set]:
     return monos, forced
 
 
+def weight_code(mono, max_degree: int) -> int:
+    """The oracle's torus-weight code of a monomial at ``max_degree``."""
+    big = 2 * max_degree + 1
+    return sum(e * (big ** (i - 1) - big ** (j - 1)) for (i, j), e in mono)
+
+
 def dual_matrix(point: DualPoint) -> list[list]:
     """The matrix view of ``point``: the value of root (k,t) at row t,
     column k, and zeros elsewhere, the ideal-dual cells included."""

@@ -1,0 +1,157 @@
+"""The oracle's equation system and the report's containment path on it,
+read in ``regfactor.oracle``."""
+
+from collections import Counter
+from itertools import combinations_with_replacement
+from math import prod
+
+from regfactor import Polynomial, all_invariants, close_ideal, full_report, oracle_invariants
+from regfactor import linalg, oracle, poly, verify
+from helpers import (
+    all_regular_ideals,
+    in_poly_span,
+    n7_ideal,
+    one_entry_columns,
+    weight_code,
+    y,
+)
+
+
+def test_oracle_first_round_is_the_one_entry_equations():
+    # The support walk keeps exactly the monomials that no one-entry
+    # equation forces, and only those build equations.
+    cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
+    for ideal, degree in cases + [(n7_ideal(), 4)]:
+        variables = ideal.free_roots()
+        _, _, groups = oracle._columns(ideal, degree, poly._generator_moves(ideal))
+        kept = [tuple(variables[support[s]] for s in slots)
+                for members in groups.values() for support, (slots, _) in members]
+        monos, forced = one_entry_columns(ideal, degree)
+        assert len(kept) == len(set(kept))
+        assert set(kept) == monos - forced, sorted(ideal.roots)
+    assert (len(kept), len(monos)) == (388, 5984)
+
+
+def blocks_of(basis, max_degree):
+    """Oracle blocks, keyed by weight code, from basis elements that each
+    hold one torus weight."""
+    grouped = {}
+    for p in basis:
+        (code,) = {weight_code(m, max_degree) for m in p.terms}
+        grouped.setdefault(code, []).append(p)
+    blocks = {}
+    for code, polys in grouped.items():
+        monos = list(dict.fromkeys(m for p in polys for m in p.terms))
+        blocks[code] = (monos, [[p.terms.get(m, 0) for m in monos] for p in polys])
+    return blocks
+
+
+def system_of(basis, ideal, max_degree):
+    """An oracle equation system whose kernel is the span of ``basis``, each
+    element of one torus weight: per weight, the basis monomials as kept
+    columns, and as rows the nullspace of the basis vectors over them."""
+    position = {root: k for k, root in enumerate(ideal.free_roots())}
+    system = {}
+    for code, (monos, vectors) in blocks_of(basis, max_degree).items():
+        kept = {c: tuple(position[r] for r, e in m for _ in range(e)) for c, m in enumerate(monos)}
+        rows = linalg.nullspace(vectors, len(monos))
+        system[code] = (kept, [{c: x for c, x in enumerate(row) if x} for row in rows])
+    return system
+
+
+def containment(monkeypatch, ideal, system, polys):
+    """The report's containment answer for each of ``polys`` and the basis
+    size: their compiled terms read against the equation ``system``, put in
+    place of the one the oracle builds."""
+    monkeypatch.setattr(oracle, "_system", lambda ideal, degree, moves: system)
+    position = {root: k for k, root in enumerate(ideal.free_roots())}
+    return oracle._containment(ideal, 1, {}, [verify._compile(p, position) for p in polys])
+
+
+def test_invariant_in_span(monkeypatch):
+    # oracle_containment tests the one invariant y[3,1] of the free n=3
+    # factor against whatever equation system the oracle returns
+    def outcome(basis):
+        monkeypatch.setattr(oracle, "_system",
+                            lambda ideal, degree, moves: system_of(basis, ideal, degree))
+        check = full_report(close_ideal(3, []), trials=1).checks[-1]
+        assert check.name == "oracle_containment"
+        return check.status, check.detail
+
+    # y[3,1] and y[2,1]y[3,2] share one torus weight: a block of two vectors.
+    assert outcome([y(2, 1) * y(3, 2), y(3, 1) + y(2, 1) * y(3, 2)]) == (
+        "pass", "1 invariants inside a basis of 2")
+    assert outcome([y(3, 1) * y(2, 1), 2 * y(3, 1)])[0] == "pass"
+    outside = ("fail", "invariant of (3, 1) is outside the oracle kernel")
+    assert outcome([y(2, 1), y(3, 2)]) == outside
+    assert outcome([y(3, 1) + y(2, 1) * y(3, 2)]) == outside
+    assert outcome([]) == outside
+
+
+def test_block_containment_matches_one_global_in_span():
+    # The report's count path against one global in_span over the degree-3
+    # basis of every ideal with n <= 6: the real records, sums of
+    # neighbouring ones, which span two weights, each record with its first
+    # term doubled (kept columns, off the kernel unless the record has one
+    # term), and each record plus one monomial of a weight it holds that the
+    # equations force to zero.
+    gained = 0
+    for n in range(1, 7):
+        for ideal in all_regular_ideals(n):
+            moves = poly._generator_moves(ideal)
+            system = oracle._system(ideal, 3, moves)
+            kept = {combo for columns, _ in system.values() for combo in columns.values()}
+            forced = {}
+            for degree in (1, 2, 3):
+                for combo in combinations_with_replacement(range(len(ideal.free_roots())), degree):
+                    if combo not in kept:
+                        mono = prod(y(*ideal.free_roots()[k]) for k in combo)
+                        (term,) = mono.terms
+                        forced.setdefault(weight_code(term, 3), mono)
+            records = [r.invariant for r in all_invariants(ideal)]
+            polys = records + [a + b for a, b in zip(records, records[1:])]
+            polys += [p + Polynomial(dict(p.sorted_terms()[:1])) for p in records]
+            for p in records:
+                extra = next((forced[w] for w in sorted({weight_code(m, 3) for m in p.terms})
+                              if w in forced), None)
+                if extra is not None and p.degree() <= 3:
+                    polys.append(p + extra)
+                    gained += 1
+            position = {root: k for k, root in enumerate(ideal.free_roots())}
+            found, _ = oracle._containment(ideal, 3, moves,
+                                           [verify._compile(p, position) for p in polys])
+            assert found == in_poly_span(oracle_invariants(ideal, 3), polys), sorted(ideal.roots)
+    assert gained == 296
+
+
+def test_block_containment_constructed_cases(monkeypatch):
+    # y[3,1], y[2,1] and y[3,2] have three different torus weights.
+    def both(basis, polys):
+        ideal = close_ideal(3, [])
+        found, _ = containment(monkeypatch, ideal, system_of(basis, ideal, 2), polys)
+        assert found == in_poly_span(basis, polys)
+        return found
+
+    # A record split over two weights, one part outside: it fails.
+    assert both([y(3, 1)], [y(3, 1) + y(2, 1), y(3, 1) + y(3, 2)]) == [False, False]
+    assert both([y(3, 1), 2 * y(2, 1)], [y(3, 1) + y(2, 1), 3 * y(3, 1)]) == [True, True]
+    # A weight whose block lacks one of the part's monomials.
+    assert both([y(2, 1) * y(3, 2)], [y(3, 1), y(3, 1) + y(2, 1) * y(3, 2)]) == [False, False]
+    assert both([], [y(3, 1)]) == [False]
+
+
+def test_oracle_kernel_sizes_match_the_solved_blocks(monkeypatch):
+    # kept columns less the rank of the rows, weight by weight, is the
+    # number of kernel vectors oracle_invariants solves for in that weight:
+    # its basis elements of that weight code.
+    cases = [(ideal, d) for n in range(1, 7) for ideal in all_regular_ideals(n)
+             for d in range(1, 5)]
+    for ideal, degree in cases + [(n7_ideal(), 5)]:
+        system = oracle._system(ideal, degree, poly._generator_moves(ideal))
+        sizes = {w: containment(monkeypatch, ideal, {w: block}, [])[1]
+                 for w, block in system.items()}
+        monkeypatch.undo()
+        solved = Counter(weight_code(next(iter(p.terms)), degree)
+                         for p in oracle_invariants(ideal, degree))
+        assert {w: k for w, k in sizes.items() if k} == solved, (sorted(ideal.roots), degree)
+    assert sum(sizes.values()) == 90

@@ -103,9 +103,28 @@ def test_no_module_imports_fractions():
 
 def test_poly_imports_neither_linalg_nor_verify():
     # poly is sparse polynomials and structure constants; the checks that
-    # rank or bracket records live in verify, on compiled terms.
+    # rank or bracket records live in verify, on compiled terms, and the
+    # oracle's equations in oracle.
     path = Path(regfactor.__file__).parent / "poly.py"
-    assert _imported_modules(path) & {"linalg", "verify"} == set()
+    assert _imported_modules(path) & {"linalg", "verify", "oracle"} == set()
+
+
+def test_oracle_imports_no_report_and_the_report_reads_one_oracle_name():
+    # The oracle needs neither the report, the records nor the CLI; the
+    # report reaches the oracle through its one containment entry.
+    package = Path(regfactor.__file__).parent
+    assert _imported_modules(package / "oracle.py") & {"verify", "invariants", "cli"} == set()
+    read = set()
+    for node in ast.walk(ast.parse((package / "verify.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] == "oracle":
+                read.update(alias.name for alias in node.names)
+            elif any(alias.name.split(".")[-1] == "oracle" for alias in node.names):
+                read.add("the module itself")
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == "oracle" for alias in node.names):
+                read.add("the module itself")
+    assert read == {"_containment"}
 
 
 _Y = Polynomial.variable((2, 1))

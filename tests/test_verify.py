@@ -1,17 +1,17 @@
-"""Coadjoint action, invariance trials, skew rank statistics, the oracle,
-and the aggregate report."""
+"""Coadjoint action, invariance trials, skew rank statistics, the public
+oracle basis, and the aggregate report; the oracle's equation system and
+containment path are in test_oracle."""
 
 import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
 
-from regfactor import linalg, verify
+from regfactor import linalg, poly, verify
 from regfactor import (
     BudgetError,
     Polynomial,
@@ -38,10 +38,8 @@ from helpers import (
     group_identity,
     group_inverse,
     group_product,
-    in_poly_span,
     jacobian_rank,
     n7_ideal,
-    one_entry_columns,
     poisson_bracket_generator,
     prime_point,
     random_ideals,
@@ -50,6 +48,7 @@ from helpers import (
     reference_coadjoint_act,
     reference_oracle,
     reference_skew_rank_stats,
+    weight_code,
     y,
 )
 
@@ -107,6 +106,21 @@ def test_group_element_validation_and_inverse():
     for n in (2, 5, 8):
         g = GroupElement.random(n, rng)
         assert group_product(g, group_inverse(g)) == group_identity(n)
+
+
+def test_group_element_from_lists_is_an_immutable_value():
+    rows = [[1, 0], [5, 1]]
+    g = GroupElement(rows)
+    rows[1][0] = 7
+    assert g.rows == ((1, 0), (5, 1))
+    assert g == GroupElement(((1, 0), (5, 1)))
+    assert hash(g) == hash(GroupElement(((1, 0), (5, 1))))
+
+
+@pytest.mark.parametrize("rows", [(), []])
+def test_group_element_needs_at_least_one_row(rows):
+    with pytest.raises(InputError, match="^n must be at least 1$"):
+        GroupElement(rows)
 
 
 def test_random_draws_follow_the_randint_stream():
@@ -238,7 +252,7 @@ def test_compiled_brackets_match_polynomial_brackets():
             if not free:
                 continue
             position = {root: k for k, root in enumerate(free)}
-            moves = verify._generator_moves(ideal)
+            moves = poly._generator_moves(ideal)
             assert list(moves) == [i for i in range(1, n) if (i + 1, i) not in ideal]
             record = all_invariants(ideal)[0]
             for _ in range(4):
@@ -248,7 +262,7 @@ def test_compiled_brackets_match_polynomial_brackets():
                 for i in range(1, n):
                     expected = poisson_bracket_generator(i, p, ideal)
                     residual = verify._bracket(verify._compile(p, position), moves.get(i, {}))
-                    found = Polynomial({verify._monomial([free[k] for k in spots]): c
+                    found = Polynomial({poly._monomial([free[k] for k in spots]): c
                                         for spots, c in residual.items()})
                     assert found == expected, (sorted(ideal.roots), str(p), i)
                     if first is None and not expected.is_zero:
@@ -665,119 +679,11 @@ def test_full_reports_of_every_n8_ideal_pass():
         assert report.passed, (sorted(ideal.roots), report.lines())
 
 
-def test_oracle_first_round_is_the_one_entry_equations():
-    # The support walk keeps exactly the monomials that no one-entry
-    # equation forces, and only those build equations.
-    cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
-    for ideal, degree in cases + [(n7_ideal(), 4)]:
-        variables = ideal.free_roots()
-        _, _, groups = verify._oracle_columns(ideal, degree, verify._generator_moves(ideal))
-        kept = [tuple(variables[support[s]] for s in slots)
-                for members in groups.values() for support, (slots, _) in members]
-        monos, forced = one_entry_columns(ideal, degree)
-        assert len(kept) == len(set(kept))
-        assert set(kept) == monos - forced, sorted(ideal.roots)
-    assert (len(kept), len(monos)) == (388, 5984)
-
-
 def test_oracle_members_are_invariant():
     ideal = close_ideal(4, [(3, 1)])
     for p in oracle_invariants(ideal, 3):
         for i in range(1, 4):
             assert poisson_bracket_generator(i, p, ideal).is_zero
-
-
-def weight_code(mono, max_degree):
-    """The oracle's torus-weight code of a monomial at ``max_degree``."""
-    big = 2 * max_degree + 1
-    return sum(e * (big ** (i - 1) - big ** (j - 1)) for (i, j), e in mono)
-
-
-def blocks_of(basis, max_degree):
-    """Oracle blocks, keyed by weight code, from basis elements that each
-    hold one torus weight."""
-    grouped = {}
-    for p in basis:
-        (code,) = {weight_code(m, max_degree) for m in p.terms}
-        grouped.setdefault(code, []).append(p)
-    blocks = {}
-    for code, polys in grouped.items():
-        monos = list(dict.fromkeys(m for p in polys for m in p.terms))
-        blocks[code] = (monos, [[p.terms.get(m, 0) for m in monos] for p in polys])
-    return blocks
-
-
-def system_of(basis, ideal, max_degree):
-    """An oracle equation system whose kernel is the span of ``basis``, each
-    element of one torus weight: per weight, the basis monomials as kept
-    columns, and as rows the nullspace of the basis vectors over them."""
-    position = {root: k for k, root in enumerate(ideal.free_roots())}
-    system = {}
-    for code, (monos, vectors) in blocks_of(basis, max_degree).items():
-        kept = {c: tuple(position[r] for r, e in m for _ in range(e)) for c, m in enumerate(monos)}
-        rows = linalg.nullspace(vectors, len(monos))
-        system[code] = (kept, [{c: x for c, x in enumerate(row) if x} for row in rows])
-    return system
-
-
-def report_contains(ideal, system, polys) -> list[bool]:
-    """The report's containment answer for each of ``polys``: their
-    compiled terms read against the equation ``system``."""
-    position = {root: k for k, root in enumerate(ideal.free_roots())}
-    return verify._oracle_contains(system, [verify._compile(p, position) for p in polys])
-
-
-def test_invariant_in_span(monkeypatch):
-    # oracle_containment tests the one invariant y[3,1] of the free n=3
-    # factor against whatever equation system the oracle returns
-    def outcome(basis):
-        monkeypatch.setattr(verify, "_oracle_system",
-                            lambda ideal, degree, moves: system_of(basis, ideal, degree))
-        check = full_report(close_ideal(3, []), trials=1).checks[-1]
-        assert check.name == "oracle_containment"
-        return check.status, check.detail
-
-    # y[3,1] and y[2,1]y[3,2] share one torus weight: a block of two vectors.
-    assert outcome([y(2, 1) * y(3, 2), y(3, 1) + y(2, 1) * y(3, 2)]) == (
-        "pass", "1 invariants inside a basis of 2")
-    assert outcome([y(3, 1) * y(2, 1), 2 * y(3, 1)])[0] == "pass"
-    outside = ("fail", "invariant of (3, 1) is outside the oracle kernel")
-    assert outcome([y(2, 1), y(3, 2)]) == outside
-    assert outcome([y(3, 1) + y(2, 1) * y(3, 2)]) == outside
-    assert outcome([]) == outside
-
-
-def test_block_containment_matches_one_global_in_span():
-    # The report's count path against one global in_span over the degree-3
-    # basis of every ideal with n <= 6: the real records, sums of
-    # neighbouring ones, which span two weights, each record with its first
-    # term doubled (kept columns, off the kernel unless the record has one
-    # term), and each record plus one monomial of a weight it holds that the
-    # equations force to zero.
-    gained = 0
-    for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            system = verify._oracle_system(ideal, 3, verify._generator_moves(ideal))
-            kept = {combo for columns, _ in system.values() for combo in columns.values()}
-            forced = {}
-            for degree in (1, 2, 3):
-                for combo in combinations_with_replacement(range(len(ideal.free_roots())), degree):
-                    if combo not in kept:
-                        mono = prod(y(*ideal.free_roots()[k]) for k in combo)
-                        (term,) = mono.terms
-                        forced.setdefault(weight_code(term, 3), mono)
-            records = [r.invariant for r in all_invariants(ideal)]
-            polys = records + [a + b for a, b in zip(records, records[1:])]
-            polys += [p + Polynomial(dict(p.sorted_terms()[:1])) for p in records]
-            for p in records:
-                extra = next((forced[w] for w in sorted({weight_code(m, 3) for m in p.terms})
-                              if w in forced), None)
-                if extra is not None and p.degree() <= 3:
-                    polys.append(p + extra)
-                    gained += 1
-            found = report_contains(ideal, system, polys)
-            assert found == in_poly_span(oracle_invariants(ideal, 3), polys), sorted(ideal.roots)
-    assert gained == 296
 
 
 def test_oracle_elements_hold_one_torus_weight():
@@ -787,37 +693,6 @@ def test_oracle_elements_hold_one_torus_weight():
         for ideal in all_regular_ideals(n):
             for p in oracle_invariants(ideal, 3):
                 assert len({weight_code(m, 3) for m in p.terms}) == 1, (sorted(ideal.roots), str(p))
-
-
-def test_block_containment_constructed_cases():
-    # y[3,1], y[2,1] and y[3,2] have three different torus weights.
-    def both(basis, polys):
-        ideal = close_ideal(3, [])
-        found = report_contains(ideal, system_of(basis, ideal, 2), polys)
-        assert found == in_poly_span(basis, polys)
-        return found
-
-    # A record split over two weights, one part outside: it fails.
-    assert both([y(3, 1)], [y(3, 1) + y(2, 1), y(3, 1) + y(3, 2)]) == [False, False]
-    assert both([y(3, 1), 2 * y(2, 1)], [y(3, 1) + y(2, 1), 3 * y(3, 1)]) == [True, True]
-    # A weight whose block lacks one of the part's monomials.
-    assert both([y(2, 1) * y(3, 2)], [y(3, 1), y(3, 1) + y(2, 1) * y(3, 2)]) == [False, False]
-    assert both([], [y(3, 1)]) == [False]
-
-
-def test_oracle_kernel_sizes_match_the_solved_blocks():
-    # kept columns less the rank of the rows, weight by weight, is the
-    # number of kernel vectors _oracle_blocks solves for in that weight.
-    cases = [(ideal, d) for n in range(1, 7) for ideal in all_regular_ideals(n)
-             for d in range(1, 5)]
-    for ideal, degree in cases + [(n7_ideal(), 5)]:
-        moves = verify._generator_moves(ideal)
-        sizes = verify._oracle_sizes(verify._oracle_system(ideal, degree, moves))
-        blocks = verify._oracle_blocks(ideal, degree)
-        assert {w: k for w, k in sizes.items() if k} == {
-            w: len(vectors) for w, (_, vectors) in blocks.items()
-        }, (sorted(ideal.roots), degree)
-    assert sum(sizes.values()) == 90
 
 
 @pytest.mark.slow

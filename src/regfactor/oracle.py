@@ -16,12 +16,14 @@ but r.  The walk goes over ascending supports of at most d variables
 depth first, carrying the unmet guards; it cuts a branch when an unmet
 guard has no bit above the last variable, and takes the last variable
 from the AND of the unmet guards.  On the n=7 reference at degree 4 only
-388 of the 5984 monomials are kept.  ``_system`` settles the later rounds
-with a worklist (a forced column leaves its equations, and an equation
-left with one term forces on); a weight with one kept monomial is forced
-by any move, or kept with no equations.  ``oracle_invariants`` solves
+388 of the 5984 monomials are kept, each carrying its position code.
+``_system`` settles the later rounds with a worklist (a forced column
+leaves its equations, and an equation left with one term forces on); a
+weight with one kept monomial is forced by any move or kept with no
+equations, and a weight that its one-term equations force whole is
+dropped before the worklist is indexed.  ``oracle_invariants`` solves
 what is left; ``_containment``, the report's ``oracle_containment`` line,
-only counts on it.
+only counts on it, and ranks only the weights left with equations.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _containment(
     A polynomial lies in the kernel exactly when each of its terms is a
     kept column of ``_system`` and every remaining row of each weight it
     holds vanishes on its coefficients.  The basis size sums kept columns
-    less the rank of the rows (``linalg._rank``) over the weights.
+    less the rank of the rows (``linalg._rank``, if any) over the weights.
     """
     system = _system(ideal, max_degree, moves)
     column = {combo: (weight, c) for weight, (kept, _) in system.items()
@@ -101,7 +103,7 @@ def _containment(
                                    for row in system[weight][1]))
     return answers, sum(
         len(kept) - linalg._rank([[row.get(c, 0) for c in kept] for row in rows], len(kept))
-        for kept, rows in system.values())
+        if rows else len(kept) for kept, rows in system.values())
 
 
 def _system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System:
@@ -110,18 +112,14 @@ def _system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System
     on them, whose kernel is the generator brackets' kernel in that weight.
     ``generators`` is the ideal's ``_generator_moves``.
     """
-    n = ideal.n
-    moves, power, groups = _columns(ideal, max_degree, generators)
+    moves, groups = _columns(ideal, max_degree, generators)
     system: _System = {}
     for weight, members in groups.items():
         if len(members) == 1:
             # Any move of a lone member is alone in its equation and forces
             # it; with no move it is kept, with no equations.
-            (support, (slots, _)), = members
-            for k in support:
-                if moves[k]:
-                    break
-            else:
+            (support, slots, _, _), = members
+            if not any(map(moves.__getitem__, support)):
                 system[weight] = ({0: tuple([support[s] for s in slots])}, [])
             continue
         # One sparse row (column -> coefficient) per generator i and image
@@ -129,18 +127,10 @@ def _system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System
         # a != b move to distinct images (r and a differ in weight), so each
         # sets its own entry and no entry cancels.
         equations: dict[int, dict[int, int]] = {}
-        for col, (support, (slots, exps)) in enumerate(members):
-            start = 0
-            for s in slots:
-                start += power[support[s]]
-            start *= n
+        for col, (support, _, exps, start) in enumerate(members):
             for k, e in zip(support, exps):
                 for sign, move, _, _ in moves[k]:
-                    row = equations.get(start + move)
-                    if row is None:
-                        equations[start + move] = {col: sign * e}
-                    else:
-                        row[col] = sign * e
+                    equations.setdefault(start + move, {})[col] = sign * e
         # A row with one entry here lost its others to the first round and
         # forces its column; a forced column leaves the (indexed) rows of two
         # or more entries it is in, and one left with one entry forces on.
@@ -151,6 +141,8 @@ def _system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System
                 forced.update(row)
             else:
                 rows.append(row)
+        if len(forced) == len(members):
+            continue  # forced whole by its one-entry rows
         rows_of: dict[int, list[dict[int, int]]] = {}
         for row in rows:
             for c in row:
@@ -167,34 +159,33 @@ def _system(ideal: RegularIdeal, max_degree: int, generators: _Moves) -> _System
                         pending.append(last)
         if len(forced) < len(members):
             kept = {c: tuple([support[s] for s in slots])
-                    for c, (support, (slots, _)) in enumerate(members) if c not in forced}
+                    for c, (support, slots, _, _) in enumerate(members) if c not in forced}
             system[weight] = (kept, [row for row in rows if row])
     return system
 
 
 def _columns(
     ideal: RegularIdeal, max_degree: int, generators: _Moves
-) -> tuple[list[list[tuple[int, int, int, int]]], list[int], dict[int, list]]:
-    """The oracle's bracket moves per variable, each variable's position
-    code, and its monomials of degree 1..``max_degree`` by weight code, less
-    the first round of forced monomials; ``generators`` is the ideal's
-    ``_generator_moves``.
+) -> tuple[list[list[tuple[int, int, int, int]]], dict[int, list]]:
+    """The oracle's bracket moves per variable, and its monomials of degree
+    1..``max_degree`` by weight code, less the first round of forced
+    monomials; ``generators`` is the ideal's ``_generator_moves``.
 
     A monomial is forced when its support misses the guard
     ``targets[i] & ~bit(r)`` of one of its moves (see the module
-    docstring).  Each kept support gives one member per exponent vector (every
-    exponent at least 1, total at most ``max_degree``), (support, (slots,
-    exponents)) with the combo of its copies ``support[s]`` for s in slots,
-    in no set order within a group.
+    docstring).  Each kept support gives one member per exponent vector
+    (every exponent at least 1, total at most ``max_degree``), (support,
+    slots, exponents, n * position code) with the combo of its copies
+    ``support[s]`` for s in slots, in no set order within a group.
     """
     n = ideal.n
     variables = ideal.free_roots()
     # A combo is its variables' positions, nondecreasing, one per copy.  Its
-    # position code, built only for monomials that write equations, is the
-    # sum of power[k] = base**k over it; base exceeds every exponent, so the
-    # code is one-to-one, and moving a copy of k to r adds power[r] - power[k].
-    # Its weight code sums big**(i-1) - big**(j-1) over the variables (i,j);
-    # big = 2 * max_degree + 1 spans a weight coordinate, so codes are weights.
+    # position code sums power[k] = base**k over them; base exceeds every
+    # exponent, so the code is one-to-one, and moving a copy of k to r adds
+    # power[r] - power[k].  Its weight code sums big**(i-1) - big**(j-1) over
+    # the variables (i,j); big = 2 * max_degree + 1 spans a weight
+    # coordinate, so codes are weights.  Both are summed in one pass.
     #
     # moves[k] lists (s, shift * n + i, i, r) for each generator (i+1,i)
     # whose bracket with variable k is s*r, r outside the ideal, so the
@@ -255,9 +246,11 @@ def _columns(
                 stack.append((support + (v,), now, left))
     groups: dict[int, list] = {}
     for support in kept:
-        for pattern in patterns[len(support)]:
-            weight = 0
-            for s in pattern[0]:
-                weight += torus[support[s]]
-            groups.setdefault(weight, []).append((support, pattern))
-    return moves, power, groups
+        for slots, exps in patterns[len(support)]:
+            weight = code = 0
+            for s in slots:
+                k = support[s]
+                weight += torus[k]
+                code += power[k]
+            groups.setdefault(weight, []).append((support, slots, exps, code * n))
+    return moves, groups

@@ -262,15 +262,16 @@ def _bracket_table(ideal: RegularIdeal) -> list[tuple[int, int, int, int]]:
     return table
 
 
-def _generator_moves(ideal: RegularIdeal) -> _Moves:
+def _generator_moves(ideal: RegularIdeal, table: Optional[list] = None) -> _Moves:
     """For each generator (i+1,i) outside the ideal, in order of i, the map
     from a free position k to (sign, r) when the generator's bracket with
     the variable at k is sign times the variable at free position r, keys
-    ascending.  Read off ``_bracket_table``: an entry (a, b, s, c) with the
-    generator at a moves b to (s, c), and with it at b moves a to (-s, c)."""
+    ascending.  Read off ``table``, the ideal's ``_bracket_table`` (built
+    when not given): an entry (a, b, s, c) with the generator at a moves b
+    to (s, c), and with it at b moves a to (-s, c)."""
     generator = {k: j for k, (i, j) in enumerate(ideal.free_roots()) if i == j + 1}
     moves: _Moves = {i: {} for i in sorted(generator.values())}
-    for a, b, sign, c in _bracket_table(ideal):
+    for a, b, sign, c in _bracket_table(ideal) if table is None else table:
         if a in generator:
             moves[generator[a]][b] = (sign, c)
         if b in generator:

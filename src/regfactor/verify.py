@@ -159,18 +159,19 @@ def coadjoint_act(g: GroupElement, point: DualPoint) -> DualPoint:
     full: list[list] = [[None] * n for _ in range(n)]
     for (k, t), value in point.coords.items():
         full[t - 1][k - 1] = [value]
-    _move_columns([[[v] for v in row[:i]] for i, row in enumerate(g.rows)], full)
+    _move_columns([[[v] for v in row[:i]] for i, row in enumerate(g.rows)], full, range(1, n + 1))
     _, root = _first_leak(full, point.ideal.roots, 1)
     if root is not None:
         raise _leak_error(root)
-    coords = {}
-    for (k, t) in point.ideal.free_roots():
-        coords[(k, t)] = full[t - 1][k - 1][0]
-    return DualPoint(point.ideal, coords)
+    return DualPoint(point.ideal, {(k, t): full[t - 1][k - 1][0]
+                                   for (k, t) in point.ideal.free_roots()})
 
 
-def _move_columns(g: Sequence[Sequence[Sequence]], full: list[list]) -> None:
-    """The coadjoint move of a block of trials, held as columns, in place.
+def _move_columns(g: Sequence[Sequence[Sequence]], full: list[list], start: Sequence[int]) -> None:
+    """The coadjoint move of a block of trials, held as columns, in place,
+    on the cells of each row i from column ``start[i]`` (> i) on; a row
+    with start n is skipped, and ``range(1, n + 1)`` asks for every cell
+    the projection reads.
 
     ``full`` is the matrix view B with one column per cell, a list of that
     cell's values across the trials, or None on a cell that is zero in every
@@ -179,31 +180,33 @@ def _move_columns(g: Sequence[Sequence[Sequence]], full: list[list]) -> None:
     column m.  Each update is one comprehension over the block, and a None
     cell is skipped, so B's sparsity is read once per block.
 
-    Only the strictly upper cells of g·B·g⁻¹ are computed, the ones the
-    projection reads.  Row i of L = g·B there is the sum of g[i][m]·B[m]
-    over m <= i, and F = L·g⁻¹ solves F·g = L: back-substitution from the
-    last column, F[i][j] = L[i][j] - sum over k > j of F[i][k]·g[k][j],
-    reads only upper cells.  No inverse of g is formed.  Row i starts from
-    B[i], since g[i][i] = 1.  Rows are replaced from the last one up: row i
-    reads B[m] only for m < i, and those rows are still untouched.  Every
-    update builds a new list, so the columns passed in are never changed.
+    Row i of L = g·B is the sum of g[i][m]·B[m] over m <= i, and F = L·g⁻¹
+    solves F·g = L by back-substitution from the last column: F[i][j] =
+    L[i][j] - sum over k > j of F[i][k]·g[k][j] reads only cells right of
+    j, so no cell left of the start is needed, and no inverse of g is
+    formed.  Row i starts from B[i], since g[i][i] = 1.  Rows are replaced
+    from the last one up: row i reads B[m] only for m < i, still untouched.
+    Every update builds a new list, so the columns passed in never change.
     """
     n = len(full)
     for i in range(n - 1, -1, -1):
+        low = start[i]
+        if low >= n:
+            continue
         f, gi = full[i], g[i]
         for m in range(i):
             c, bm = gi[m], full[m]
-            for j in range(i + 1, n):
+            for j in range(low, n):
                 b = bm[j]
                 if b is not None:
                     a = f[j]
                     f[j] = ([u * v for u, v in zip(c, b)] if a is None
                             else [s + u * v for s, u, v in zip(a, c, b)])
-        for j in range(n - 1, i, -1):
+        for j in range(n - 1, low, -1):
             c = f[j]
             if c is not None:
                 gj = g[j]
-                for m in range(i + 1, j):
+                for m in range(low, j):
                     a = f[m]
                     f[m] = ([-u * v for u, v in zip(c, gj[m])] if a is None
                             else [s - u * v for s, u, v in zip(a, c, gj[m])])
@@ -306,12 +309,14 @@ def check_invariance(
 
     The trials run ``_BLOCK`` at a time, held as columns (one list per
     matrix cell or point coordinate, one entry per trial), and
-    ``_move_columns``, the kernel of ``coadjoint_act``, moves each block.
-    Each block makes one ``_draws`` call on the one ``random.Random(seed)``:
-    the values and final state of the ``randint(-9, 9)`` calls that
-    ``GroupElement.random`` then ``DualPoint.random`` make per trial (g below
-    the diagonal row by row, then the point down the free roots).  Each
-    entry of g and each coordinate of the point is one stride slice of them.
+    ``_move_columns``, the kernel of ``coadjoint_act``, moves each block,
+    each row only from its leftmost cell that is read: an ideal cell (the
+    leak check) or a record's variable.  Each block makes one ``_draws``
+    call on the one ``random.Random(seed)``: the values and final state of
+    the ``randint(-9, 9)`` calls that ``GroupElement.random`` then
+    ``DualPoint.random`` make per trial (g below the diagonal row by row,
+    then the point down the free roots).  Each entry of g and each
+    coordinate of the point is one stride slice of them.
 
     The check fails at the first trial that leaks onto an ideal cell (a
     ConstructionError naming the first such cell in ``ideal.roots`` order)
@@ -370,6 +375,10 @@ def _check_compiled(
     )
 
     cells = [(t - 1, k - 1) for (k, t) in free]
+    # Per row, the leftmost cell that is read: an ideal cell or a variable.
+    read = set(ideal.roots).union(
+        free[p] for terms in compiled for _, spots in terms for p in spots)
+    start = [min([k - 1 for k, t in read if t == i + 1], default=n) for i in range(n)]
     below = n * (n - 1) // 2
     per_trial = below + len(free)
     rng = random.Random(seed)
@@ -382,7 +391,7 @@ def _check_compiled(
         for (r, c), column in zip(cells, x):
             full[r][c] = column
         g = [[vals[i * (i - 1) // 2 + m::per_trial] for m in range(i)] for i in range(n)]
-        _move_columns(g, full)
+        _move_columns(g, full, start)
         moved = [full[r][c] for r, c in cells]
         trial, root = _first_leak(full, ideal.roots, size)
         culprit = None
@@ -498,21 +507,20 @@ def skew_rank_stats(ideal: RegularIdeal) -> SkewStats:
     most dim - c (Rosenlicht), so a rank that reaches the plus/minus count
     proves that count is the generic rank.
     """
-    dim = len(ideal.free_roots())
-    rank = linalg.rank(_skew_form(_bracket_table(ideal), dim, _primes(dim)))
-    return SkewStats(rank, dim - rank)
+    return _skew_stats(_bracket_table(ideal), _primes(len(ideal.free_roots())))
 
 
-def _skew_form(
-    table: list[tuple[int, int, int, int]], dim: int, x: Sequence[int]
-) -> list[list[int]]:
-    """The matrix of B_x, with x given by its values down the free roots."""
-    rows: list[list[int]] = [[0] * dim for _ in range(dim)]
+def _skew_stats(table: list[tuple[int, int, int, int]], x: Sequence[int]) -> SkewStats:
+    """``skew_rank_stats`` from the factor's ``_bracket_table`` and the
+    distinct-prime point ``x``, one value per free root: the rank of the
+    matrix of B_x."""
+    rows: list[list[int]] = [[0] * len(x) for _ in x]
     for a, b, sign, c in table:
         value = sign * x[c]
         rows[a][b] = value
         rows[b][a] = -value
-    return rows
+    rank = linalg._rank(rows, len(x))
+    return SkewStats(rank, len(x) - rank)
 
 
 def full_report(
@@ -600,10 +608,13 @@ def full_report(
     run("invariant_records", check_records)
     records_ok = report.checks[-1].status == "pass"
 
-    # Compiled once: Poisson annihilation, the trials and the Jacobian rows
-    # all read these terms; the brackets and the oracle share the moves.
+    # Built once: the compiled terms, for the brackets, trials and Jacobian
+    # rows; the bracket table, for the moves (brackets and oracle) and the
+    # skew form; the distinct-prime point, for the skew and Jacobian ranks.
     compiled = _compile_records(records, ideal) if records_ok else []
-    moves = _generator_moves(ideal)
+    table = _bracket_table(ideal)
+    moves = _generator_moves(ideal, table)
+    x = _primes(len(ideal.free_roots()))
     if records_ok:
         report.extend(_check_compiled(records, compiled, ideal, moves, trials, seed))
     else:
@@ -611,30 +622,24 @@ def full_report(
         skip("coadjoint_trials")
 
     def check_skew():
-        stats = skew_rank_stats(ideal)
-        if stats.max_rank != counts.plus_minus:
-            raise ConstructionError(
-                f"max skew rank {stats.max_rank} differs from the "
-                f"plus/minus count {counts.plus_minus}"
-            )
-        if stats.corank != counts.crosses:
-            raise ConstructionError(
-                f"skew corank {stats.corank} differs from the cross count "
-                f"{counts.crosses}"
-            )
-        return f"max_rank={stats.max_rank} corank={stats.corank}"
+        rank, corank = _skew_stats(table, x)
+        if rank != counts.plus_minus:
+            raise ConstructionError(f"max skew rank {rank} differs from the "
+                                    f"plus/minus count {counts.plus_minus}")
+        if corank != counts.crosses:
+            raise ConstructionError(f"skew corank {corank} differs from the "
+                                    f"cross count {counts.crosses}")
+        return f"max_rank={rank} corank={corank}"
 
     run("skew_rank", check_skew)
 
     def check_jacobian():
         # The gradients at the distinct-prime point, one column per free
         # root; a column of a variable no record uses is zero.
-        x = _primes(len(ideal.free_roots()))
-        found = linalg.rank([_gradient(terms, x) for terms in compiled])
+        found = linalg._rank([_gradient(terms, x) for terms in compiled], len(x))
         if found != len(records):
-            raise ConstructionError(
-                f"Jacobian rank {found} differs from the cross count {len(records)}"
-            )
+            raise ConstructionError(f"Jacobian rank {found} differs from the cross count "
+                                    f"{len(records)}")
         return f"rank={found}"
 
     if records_ok:

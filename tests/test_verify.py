@@ -1,6 +1,5 @@
-"""Coadjoint action, invariance trials, skew rank statistics, the public
-oracle basis, and the aggregate report; the oracle's equation system and
-containment path are in test_oracle."""
+"""Coadjoint action, invariance trials, skew rank statistics and the
+aggregate report; the oracle is in test_oracle."""
 
 import dataclasses
 import hashlib
@@ -13,7 +12,6 @@ import pytest
 
 from regfactor import linalg, poly, verify
 from regfactor import (
-    BudgetError,
     Polynomial,
     ConstructionError,
     DualPoint,
@@ -32,7 +30,6 @@ from regfactor import (
 )
 from helpers import (
     all_regular_ideals,
-    assert_int_coefficients,
     derivative,
     dual_matrix,
     group_identity,
@@ -46,9 +43,7 @@ from helpers import (
     random_polynomial,
     reference_check_invariance,
     reference_coadjoint_act,
-    reference_oracle,
     reference_skew_rank_stats,
-    weight_code,
     y,
 )
 
@@ -177,6 +172,30 @@ def test_coadjoint_act_matches_dense_reference():
         g = GroupElement(tuple(map(tuple, rows)))
         point = DualPoint.random(ideal, rng)
         assert coadjoint_act(g, point) == reference_coadjoint_act(g, point)
+
+
+def test_bounded_move_matches_the_full_move():
+    # _move_columns from column start[i] on in each row i gives the full
+    # move's values on those cells, on blocks of 3 trials: with the starts
+    # the trials take (each row's leftmost ideal cell or record variable)
+    # on every regular ideal with n <= 6 and the n=7 reference, and with
+    # seeded random starts, n among them (the row is skipped).
+    rng = random.Random(28)
+    ideals = [i for n in range(1, 7) for i in all_regular_ideals(n)] + [n7_ideal()]
+    for ideal in ideals:
+        n = ideal.n
+        read = set(ideal.roots).union(*(r.invariant.variables() for r in all_invariants(ideal)))
+        start = [min([k - 1 for k, t in read if t - 1 == i], default=n) for i in range(n)]
+        for bound in (start, [rng.randint(i + 1, n) for i in range(n)]):
+            g = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(i)] for i in range(n)]
+            full: list[list] = [[None] * n for _ in range(n)]
+            for k, t in ideal.free_roots():
+                full[t - 1][k - 1] = [rng.randint(-9, 9) for _ in range(3)]
+            bounded = [row[:] for row in full]
+            verify._move_columns(g, full, range(1, n + 1))
+            verify._move_columns(g, bounded, bound)
+            for i in range(n):
+                assert bounded[i][bound[i]:] == full[i][bound[i]:], (sorted(ideal.roots), bound)
 
 
 def _unclosed_ideal(n: int, roots) -> RegularIdeal:
@@ -542,24 +561,45 @@ def test_skew_rank_ranks_one_point(monkeypatch):
     # of the 14-dimensional form below (6,1), 12 of the 17-dimensional form
     # of the n=7 reference.
     calls = []
-    rank = linalg.rank
+    rank = linalg._rank
 
-    def counted(rows):
-        calls.append(len(rows))
-        return rank(rows)
+    def counted(rows, n_cols):
+        calls.append((len(rows), n_cols))
+        return rank(rows, n_cols)
 
-    monkeypatch.setattr(linalg, "rank", counted)
+    monkeypatch.setattr(linalg, "_rank", counted)
     assert skew_rank_stats(close_ideal(6, [(6, 1)])) == (10, 4)
-    assert calls == [14]
+    assert calls == [(14, 14)]
     calls.clear()
     assert skew_rank_stats(n7_ideal()) == (12, 5)
-    assert calls == [17]
+    assert calls == [(17, 17)]
+
+
+def test_full_report_builds_one_bracket_table_and_one_point(monkeypatch):
+    # The report scans the structure constants once, for the skew form and
+    # the generator moves alike, and builds the distinct-prime point once,
+    # for the skew form and the Jacobian rows alike.
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_bracket_table", counted("table", poly._bracket_table))
+    monkeypatch.setattr(poly, "_bracket_table", counted("table", poly._bracket_table))
+    monkeypatch.setattr(verify, "_primes", counted("point", verify._primes))
+    for ideal in (n7_ideal(), close_ideal(5, [])):
+        calls.clear()
+        assert full_report(ideal, trials=2, max_degree=2).passed
+        assert sorted(calls) == ["point", "table"]
 
 
 def test_skew_rank_below_plus_minus_fails_the_report(monkeypatch):
     # A rank short of the plus/minus count fails the skew_rank line alone,
     # and the line carries no trials or seed: it samples nothing.
-    monkeypatch.setattr(verify, "skew_rank_stats", lambda ideal: verify.SkewStats(10, 7))
+    monkeypatch.setattr(verify, "_skew_stats", lambda table, x: verify.SkewStats(10, 7))
     report = full_report(n7_ideal(), max_degree=2)
     assert not report.passed
     assert [line for line in report.lines() if not line.startswith("PASS")] == [
@@ -571,83 +611,6 @@ def test_skew_rank_below_plus_minus_fails_the_report(monkeypatch):
         "status": "fail",
         "detail": "max skew rank 10 differs from the plus/minus count 12",
     }
-
-
-def test_oracle_examples():
-    assert oracle_invariants(close_ideal(3, []), 1) == [y(3, 1)]
-    basis2 = oracle_invariants(close_ideal(2, []), 3)
-    assert basis2 == [y(2, 1), y(2, 1) ** 2, y(2, 1) ** 3]
-    basis4 = oracle_invariants(close_ideal(4, []), 2)
-    corner2 = y(4, 1) * y(3, 2) - y(3, 1) * y(4, 2)
-    assert y(4, 1) in basis4
-    assert any(p in (corner2, -corner2) for p in basis4)
-
-
-def test_oracle_budget_guard():
-    with pytest.raises(BudgetError):
-        oracle_invariants(close_ideal(6, []), 4, budget=100)
-    with pytest.raises(InputError):
-        oracle_invariants(close_ideal(3, []), 0)
-    with pytest.raises(InputError):
-        oracle_invariants(close_ideal(3, []), 2, budget=-1)
-    assert oracle_invariants(close_ideal(2, []), 1, budget=1) == [y(2, 1)]
-
-
-def test_oracle_matches_reference_elimination():
-    for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            basis = oracle_invariants(ideal, 3)
-            assert basis == reference_oracle(ideal, 3)
-            for p in basis:
-                assert_int_coefficients(p)
-    for n in range(1, 6):
-        for ideal in all_regular_ideals(n):
-            assert oracle_invariants(ideal, 4) == reference_oracle(ideal, 4), sorted(ideal.roots)
-    # The ideals with n <= 7 whose degree-4 kernel has a weight component of
-    # dimension above one, where the column order picks the basis: one at
-    # n=6 and nine at n=7, found by a scan of every ideal.
-    for n, generators in (
-        (6, [(4, 1), (6, 3)]),
-        (7, [(2, 1), (5, 2), (7, 4)]),
-        (7, [(3, 1), (5, 2), (7, 4)]),
-        (7, [(4, 1), (6, 3), (7, 6)]),
-        (7, [(4, 1), (6, 3), (7, 5)]),
-        (7, [(4, 1), (6, 3)]),
-        (7, [(4, 1), (7, 4)]),
-        (7, [(4, 1), (7, 3)]),
-        (7, [(5, 2), (7, 4)]),
-        (7, [(5, 1), (7, 4)]),
-    ):
-        ideal = close_ideal(n, generators)
-        assert oracle_invariants(ideal, 4) == reference_oracle(ideal, 4), generators
-
-
-def test_oracle_reference_basis_pinned():
-    # sha256 of the basis strings, one per line, for the n=7 reference at
-    # degrees 4 and 5
-    for degree, size, expected in (
-        (4, 49, "cc43a79920286631a81909c4b6bc40fb59af5d4c8937fd504ddd386aac1e4ebb"),
-        (5, 90, "e21d5fb97bf68c04e91b6fc8f4b46fc18e68d7c481a7f08acc1a617ab00b8af4"),
-    ):
-        basis = oracle_invariants(n7_ideal(), degree)
-        assert len(basis) == size
-        digest = hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()
-        assert digest == expected, degree
-
-
-def test_oracle_bases_of_every_ideal_pinned():
-    # sha256 over every regular ideal in all_regular_ideals order of its
-    # degree-4 basis strings, one per line, each ideal closed by a NUL byte
-    for sizes, expected in (
-        (range(1, 7), "83a1f17eb972678b04d870417fa9693bb93e4638a70d42118efbb2e64d54b94d"),
-        ([7], "53f017422160716738fdc6e300b66c5eaebcd4e2926f55522f96c0801dc10bd8"),
-    ):
-        digest = hashlib.sha256()
-        for n in sizes:
-            for ideal in all_regular_ideals(n):
-                basis = oracle_invariants(ideal, 4)
-                digest.update("\n".join(map(str, basis)).encode() + b"\0")
-        assert digest.hexdigest() == expected, list(sizes)
 
 
 def test_full_reports_of_every_n6_ideal_pinned():
@@ -677,35 +640,6 @@ def test_full_reports_of_every_n8_ideal_pass():
     for ideal in all_regular_ideals(8):
         report = full_report(ideal)
         assert report.passed, (sorted(ideal.roots), report.lines())
-
-
-def test_oracle_members_are_invariant():
-    ideal = close_ideal(4, [(3, 1)])
-    for p in oracle_invariants(ideal, 3):
-        for i in range(1, 4):
-            assert poisson_bracket_generator(i, p, ideal).is_zero
-
-
-def test_oracle_elements_hold_one_torus_weight():
-    # What lets containment run on the oracle's weight blocks alone; the
-    # degree-3 code is one-to-one on the weights of degree at most 3.
-    for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            for p in oracle_invariants(ideal, 3):
-                assert len({weight_code(m, 3) for m in p.terms}) == 1, (sorted(ideal.roots), str(p))
-
-
-@pytest.mark.slow
-def test_oracle_containment_reports_the_basis_size():
-    # The "basis of N" of the report is the size of the oracle's basis.
-    for n in range(1, 7):
-        for ideal in all_regular_ideals(n):
-            for degree in (2, 3, 4):
-                check = full_report(ideal, trials=1, max_degree=degree).checks[-1]
-                assert check.name == "oracle_containment" and check.status == "pass"
-                if check.detail != "no low-degree invariants":
-                    size = int(check.detail.rsplit(" ", 1)[1])
-                    assert size == len(oracle_invariants(ideal, degree)), sorted(ideal.roots)
 
 
 def test_full_report_reference_passes():

@@ -16,14 +16,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .diagram import build_diagram
+from . import diagram, invariants, minors, oracle, roots, verify, weyl
 from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
-from .invariants import all_invariants
-from .minors import enumerate_extremal, minor_degree
-from .oracle import oracle_invariants
-from .roots import RegularIdeal, close_ideal
-from .verify import full_report, skew_rank_stats
-from .weyl import column_max_permutation, inversions, reflection_product
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -31,7 +25,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def load_problem(path: str, strict: bool = False) -> RegularIdeal:
+def load_problem(path: str, strict: bool = False) -> roots.RegularIdeal:
     """Read and validate a problem file, returning the closed ideal."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -54,7 +48,7 @@ def load_problem(path: str, strict: bool = False) -> RegularIdeal:
     generators = doc["ideal_generators"]
     if not isinstance(generators, list):
         raise InputError('"ideal_generators" must be a list of [i, j] pairs')
-    return close_ideal(n, generators, strict=strict)
+    return roots.close_ideal(n, generators, strict=strict)
 
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
@@ -64,30 +58,30 @@ def _emit(doc: dict, text: str, fmt: str) -> None:
         print(text)
 
 
-def cmd_diagram(ideal: RegularIdeal, args) -> int:
-    diagram = build_diagram(ideal)
-    counts = diagram.counts()
+def cmd_diagram(ideal: roots.RegularIdeal, args) -> int:
+    diag = diagram.build_diagram(ideal)
+    counts = diag.counts()
     lines = []
-    for step in range(diagram.step_count + 1):
+    for step in range(diag.step_count + 1):
         lines.append(f"after step {step}:")
-        lines.append(diagram.render(upto_step=step))
+        lines.append(diag.render(upto_step=step))
     lines.append(
         f"crosses={counts.crosses} plus_minus={counts.plus_minus} bullets={counts.bullets}"
     )
-    _emit(diagram.to_json(), "\n".join(lines), args.format)
+    _emit(diag.to_json(), "\n".join(lines), args.format)
     return EXIT_OK
 
 
-def cmd_permutation(ideal: RegularIdeal, args) -> int:
-    diagram = build_diagram(ideal)
-    w = column_max_permutation(ideal)
-    product = reflection_product(ideal.n, diagram.crosses)
+def cmd_permutation(ideal: roots.RegularIdeal, args) -> int:
+    diag = diagram.build_diagram(ideal)
+    w = weyl.column_max_permutation(ideal)
+    product = weyl.reflection_product(ideal.n, diag.crosses)
     doc = {
         "n": ideal.n,
         "w": w.to_json(),
-        "inversions": inversions(w),
+        "inversions": weyl.inversions(w),
         "dim": ideal.dim,
-        "crosses": [list(r) for r in diagram.crosses],
+        "crosses": [list(r) for r in diag.crosses],
         "reflection_product_matches": product == w,
     }
     text = "\n".join(
@@ -103,9 +97,12 @@ def cmd_permutation(ideal: RegularIdeal, args) -> int:
     return EXIT_OK
 
 
-def cmd_invariants(ideal: RegularIdeal, args) -> int:
-    records = all_invariants(ideal)
-    doc = {"n": ideal.n, "invariants": [r.to_json() for r in records]}
+def cmd_invariants(ideal: roots.RegularIdeal, args) -> int:
+    records = invariants.all_invariants(ideal)
+    # to_json renders each polynomial, and so does the text listing: build one.
+    if args.format == "json":
+        _emit({"n": ideal.n, "invariants": [r.to_json() for r in records]}, "", "json")
+        return EXIT_OK
     lines = []
     for r in records:
         lines.append(
@@ -113,12 +110,12 @@ def cmd_invariants(ideal: RegularIdeal, args) -> int:
             f"cols={list(r.cols)} degree={r.degree} d_star={r.d_star}"
         )
         lines.append(f"  P = {r.invariant}")
-    _emit(doc, "\n".join(lines) if lines else "no invariants (zero factor)", args.format)
+    print("\n".join(lines) if lines else "no invariants (zero factor)")
     return EXIT_OK
 
 
-def cmd_verify(ideal: RegularIdeal, args) -> int:
-    report = full_report(
+def cmd_verify(ideal: roots.RegularIdeal, args) -> int:
+    report = verify.full_report(
         ideal,
         trials=args.trials,
         seed=args.seed,
@@ -129,10 +126,10 @@ def cmd_verify(ideal: RegularIdeal, args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
-    specs = enumerate_extremal(ideal, max_size=args.max_size, budget=args.budget)
+def cmd_extremal_scan(ideal: roots.RegularIdeal, args) -> int:
+    specs = minors.enumerate_extremal(ideal, max_size=args.max_size, budget=args.budget)
     entries = [
-        {**spec.to_json(), "degree": minor_degree(ideal, spec), "extremal": True}
+        {**spec.to_json(), "degree": minors.minor_degree(ideal, spec), "extremal": True}
         for spec in specs
     ]
     text = "\n".join(
@@ -142,9 +139,9 @@ def cmd_extremal_scan(ideal: RegularIdeal, args) -> int:
     return EXIT_OK
 
 
-def cmd_orbit_stats(ideal: RegularIdeal, args) -> int:
-    counts = build_diagram(ideal).counts()
-    stats = skew_rank_stats(ideal)
+def cmd_orbit_stats(ideal: roots.RegularIdeal, args) -> int:
+    counts = diagram.build_diagram(ideal).counts()
+    stats = verify.skew_rank_stats(ideal)
     doc = {
         "n": ideal.n,
         "max_rank": stats.max_rank,
@@ -166,8 +163,8 @@ def cmd_orbit_stats(ideal: RegularIdeal, args) -> int:
     return EXIT_OK if doc["match"] else EXIT_VERIFICATION
 
 
-def cmd_oracle(ideal: RegularIdeal, args) -> int:
-    basis = oracle_invariants(ideal, max_degree=args.max_degree, budget=args.budget)
+def cmd_oracle(ideal: roots.RegularIdeal, args) -> int:
+    basis = oracle.oracle_invariants(ideal, max_degree=args.max_degree, budget=args.budget)
     doc = {
         "n": ideal.n,
         "max_degree": args.max_degree,

@@ -69,6 +69,17 @@ def test_invariants(problem, capsys):
     assert entry["case"] == 2 and entry["degree"] == 1 == entry["d_star"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_invariants_renders_each_polynomial_once(fmt, problem, capsys, monkeypatch):
+    from regfactor.poly import Polynomial
+
+    rendered = []
+    render = Polynomial.__str__
+    monkeypatch.setattr(Polynomial, "__str__", lambda p: rendered.append(p) or render(p))
+    assert run(capsys, "invariants", problem, "--format", fmt)[0] == 0
+    assert len(rendered) == 5
+
+
 def test_verify_passes(small_problem, capsys):
     code, out, _ = run(capsys, "verify", small_problem, "--trials", "10")
     assert code == 0
@@ -178,11 +189,11 @@ def test_extremal_scan_budget_json_partial(problem, capsys):
 
 
 def test_verify_failure_exit(monkeypatch, small_problem, capsys):
-    from regfactor.verify import CheckResult, VerificationReport
-    import regfactor.cli as cli
+    from regfactor import verify
 
-    failing = VerificationReport([CheckResult("probe", "fail", detail="forced")])
-    monkeypatch.setattr(cli, "full_report", lambda *a, **k: failing)
+    failing = verify.VerificationReport([verify.CheckResult("probe", "fail", detail="forced")])
+    # cli reads verify.full_report at call time.
+    monkeypatch.setattr(verify, "full_report", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", small_problem)
     assert code == 1
     assert "FAIL" in out

@@ -1,7 +1,12 @@
-"""The package's public name list, and its one number type."""
+"""The package's public name list, its lazy modules, and its one number
+type."""
 
 import ast
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,6 +59,65 @@ def test_all_names_resolve_without_duplicates():
     missing = [name for name in regfactor.__all__ if not hasattr(regfactor, name)]
     assert missing == []
     assert len(set(regfactor.__all__)) == len(regfactor.__all__)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from regfactor import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(regfactor.__all__)
+    for name, module in regfactor._HOME.items():
+        assert namespace[name] is vars(sys.modules[f"regfactor.{module}"])[name], name
+    assert set(regfactor.__all__) <= set(dir(regfactor))
+    with pytest.raises(AttributeError):
+        regfactor.no_such_name
+
+
+_LIBRARY = ["cli", "diagram", "errors", "invariants", "linalg", "minors", "oracle", "poly",
+            "roots", "verify", "weyl"]
+
+
+def _loaded_after(code: str, tmp_path) -> list[str]:
+    """The regfactor modules whose code has run after a fresh interpreter runs
+    ``code``.  A lazy module is a ModuleType subclass until its first
+    attribute access; the type check itself reads no attribute."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"n": 7, "ideal_generators": [[5, 1], [7, 2]]}))
+    src = str(Path(regfactor.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = (
+        "import contextlib, io, sys, types\n"
+        f"PROBLEM = {str(problem)!r}\n"
+        f"{code}\n"
+        "print(sorted(m.split('.')[1] for m, mod in list(sys.modules.items())\n"
+        "             if m.startswith('regfactor.') and type(mod) is types.ModuleType))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+_RUN = ("from regfactor import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main([{!r}, PROBLEM]) == 0\n")
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import regfactor.cli", ["cli", "errors"]),
+        (_RUN.format("extremal-scan"), ["cli", "errors", "minors", "poly", "roots"]),
+        (_RUN.format("invariants"),
+         ["cli", "diagram", "errors", "invariants", "minors", "poly", "roots", "weyl"]),
+        (_RUN.format("verify"), _LIBRARY),
+        ("import regfactor", []),
+        # linalg exports no public name; oracle holds it as a lazy module.
+        ("from regfactor import *", [m for m in _LIBRARY if m not in ("cli", "linalg")]),
+    ],
+    ids=["import-cli", "extremal-scan", "invariants", "verify", "import-package", "star"],
+)
+def test_a_process_runs_only_the_modules_it_uses(code, loaded, tmp_path):
+    assert _loaded_after(code, tmp_path) == loaded
 
 
 def test_every_public_name_is_used_inside_the_package():

@@ -164,13 +164,10 @@ def cmd_orbit_stats(ideal: roots.RegularIdeal, args) -> int:
 
 
 def cmd_oracle(ideal: roots.RegularIdeal, args) -> int:
-    basis = oracle.oracle_invariants(ideal, max_degree=args.max_degree, budget=args.budget)
-    doc = {
-        "n": ideal.n,
-        "max_degree": args.max_degree,
-        "basis": [str(p) for p in basis],
-    }
-    text = "\n".join(str(p) for p in basis)
+    basis = [str(p) for p in
+             oracle.oracle_invariants(ideal, max_degree=args.max_degree, budget=args.budget)]
+    doc = {"n": ideal.n, "max_degree": args.max_degree, "basis": basis}
+    text = "\n".join(basis)
     _emit(doc, text or "no invariants up to this degree", args.format)
     return EXIT_OK
 

@@ -49,9 +49,11 @@ def require_ints(values: Iterable, message: str, *args) -> None:
 
 def _monomial_scan(variables: int, max_degree, budget, budget_name: str) -> int:
     """The number of nonconstant monomials of degree at most ``max_degree``
-    in ``variables`` variables, the oracle's scan.  Raises InputError first
-    unless ``max_degree`` and ``budget`` are ints, ``max_degree`` at least 1
-    and ``budget`` at least 0; ``budget_name`` names the budget's argument."""
+    in ``variables`` variables: the bound the oracle's budget caps, not the
+    work it does, since its support walk and rounds build far fewer.
+    Raises InputError first unless ``max_degree`` and ``budget`` are ints,
+    ``max_degree`` at least 1 and ``budget`` at least 0; ``budget_name``
+    names the budget's argument."""
     require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
     require_ints((budget,), budget_name + " must be an integer, got {!r}", budget)
     if max_degree < 1:

@@ -507,11 +507,11 @@ def reference_oracle(ideal: RegularIdeal, max_degree: int) -> list[Polynomial]:
     return basis
 
 
-def one_entry_columns(ideal: RegularIdeal, max_degree: int) -> tuple[set, set]:
+def bracket_equations(ideal: RegularIdeal, max_degree: int) -> tuple[set, dict]:
     """Every monomial of degree 1..``max_degree`` as a tuple of roots (one
-    per copy, in free-root order), and those with a bracket image that is
-    the only term of its equation: the oracle's first round of forced
-    columns, found one ``poisson_bracket_generator`` call at a time."""
+    per copy, in free-root order), and the oracle's equations as the set of
+    monomials in each, keyed by generator and bracket image, found one
+    ``poisson_bracket_generator`` call at a time."""
     monos = set()
     equations: dict[tuple, set] = {}
     for degree in range(1, max_degree + 1):
@@ -521,8 +521,31 @@ def one_entry_columns(ideal: RegularIdeal, max_degree: int) -> tuple[set, set]:
             for i in range(1, ideal.n):
                 for out in poisson_bracket_generator(i, p, ideal).terms:
                     equations.setdefault((i, out), set()).add(combo)
-    forced = {c for row in equations.values() if len(row) == 1 for c in row}
-    return monos, forced
+    return monos, equations
+
+
+def one_entry_columns(equations: dict) -> set:
+    """The monomials of ``equations`` (from ``bracket_equations``) that are
+    the only term of some equation: the oracle's first round of forced
+    columns."""
+    return {c for row in equations.values() if len(row) == 1 for c in row}
+
+
+def forced_closure(equations: dict) -> set:
+    """The one-entry rule iterated over the full set of ``equations`` (from
+    ``bracket_equations``) until nothing changes: a forced monomial leaves
+    every equation, and an equation left with one monomial forces it.  These
+    are the columns whose coefficient every invariant sets to zero."""
+    forced: set = set()
+    while True:
+        more = set()
+        for row in equations.values():
+            left = row - forced
+            if len(left) == 1:
+                more |= left
+        if not more:
+            return forced
+        forced |= more
 
 
 def weight_code(mono, max_degree: int) -> int:

@@ -80,6 +80,19 @@ def test_invariants_renders_each_polynomial_once(fmt, problem, capsys, monkeypat
     assert len(rendered) == 5
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_renders_each_polynomial_once(fmt, problem, capsys, monkeypatch):
+    # The degree-3 basis of the reference has 24 polynomials: the library's
+    # sort renders each once, and the command once more for both formats.
+    from regfactor.poly import Polynomial
+
+    rendered = []
+    render = Polynomial.__str__
+    monkeypatch.setattr(Polynomial, "__str__", lambda p: rendered.append(p) or render(p))
+    assert run(capsys, "oracle", problem, "--max-degree", "3", "--format", fmt)[0] == 0
+    assert len(rendered) == 2 * 24
+
+
 def test_verify_passes(small_problem, capsys):
     code, out, _ = run(capsys, "verify", small_problem, "--trials", "10")
     assert code == 0

@@ -22,6 +22,8 @@ from regfactor import linalg, oracle, poly, verify
 from helpers import (
     all_regular_ideals,
     assert_int_coefficients,
+    bracket_equations,
+    forced_closure,
     in_poly_span,
     n7_ideal,
     one_entry_columns,
@@ -32,15 +34,17 @@ from helpers import (
 )
 
 
-def test_oracle_first_round_is_the_one_entry_equations():
-    # The support walk keeps exactly the monomials that no one-entry
-    # equation forces, and only those build equations.  Each member carries
-    # its exponents and n times its position code, the sum of
-    # (degree + 1)**k over its copies' positions k.
+def test_oracle_columns_lie_between_round_one_and_the_closure():
+    # The support rounds keep a subset of what the one-entry equations
+    # leave, and drop only monomials that the one-entry rule, iterated over
+    # the full equation set, forces; ``_system`` keeps exactly the rest.
+    # Each member carries its exponents and n times its position code, the
+    # sum of (degree + 1)**k over its copies' positions k.
     cases = [(ideal, 4) for n in range(1, 6) for ideal in all_regular_ideals(n)]
     for ideal, degree in cases + [(n7_ideal(), 4)]:
         variables = ideal.free_roots()
-        _, groups = oracle._columns(ideal, degree, poly._generator_moves(ideal))
+        moves = poly._generator_moves(ideal)
+        _, groups = oracle._columns(ideal, degree, moves)
         kept = []
         for members in groups.values():
             for support, slots, exps, code in members:
@@ -48,10 +52,16 @@ def test_oracle_first_round_is_the_one_entry_equations():
                 assert list(exps) == [combo.count(k) for k in support]
                 assert code == ideal.n * sum((degree + 1) ** k for k in combo)
                 kept.append(tuple(variables[k] for k in combo))
-        monos, forced = one_entry_columns(ideal, degree)
+        monos, equations = bracket_equations(ideal, degree)
+        closure = forced_closure(equations)
         assert len(kept) == len(set(kept))
-        assert set(kept) == monos - forced, sorted(ideal.roots)
-    assert (len(kept), len(monos)) == (388, 5984)
+        assert set(kept) <= monos - one_entry_columns(equations), sorted(ideal.roots)
+        assert monos - set(kept) <= closure, sorted(ideal.roots)
+        solved = {tuple(variables[k] for k in combo)
+                  for columns, _ in oracle._system(ideal, degree, moves).values()
+                  for combo in columns.values()}
+        assert solved == monos - closure, sorted(ideal.roots)
+    assert (len(kept), len(monos)) == (89, 5984)
 
 
 def blocks_of(basis, max_degree):
@@ -254,6 +264,17 @@ def test_oracle_bases_of_every_ideal_pinned():
                 basis = oracle_invariants(ideal, 4)
                 digest.update("\n".join(map(str, basis)).encode() + b"\0")
         assert digest.hexdigest() == expected, list(sizes)
+
+
+def test_oracle_census_of_the_reference():
+    # The oracle row of the census on the n=7 reference, with the budget
+    # lifted: the dimension of the invariants of degree at most d, d = 1..8.
+    ideal = n7_ideal()
+    sizes = [len(oracle_invariants(ideal, d, budget=10**7)) for d in range(1, 9)]
+    assert sizes == [3, 10, 24, 49, 90, 154, 249, 385]
+    check = full_report(ideal, max_degree=6, oracle_budget=10**6).checks[-1]
+    assert (check.name, check.status) == ("oracle_containment", "pass")
+    assert check.detail == "5 invariants inside a basis of 154"
 
 
 def test_oracle_members_are_invariant():

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import ConstructionError, require_ints
 from .roots import RegularIdeal, Root, positive_roots
-from .weyl import _reflection_product
+from .weyl import _column_prefixes
 
 
 class Symbol(enum.Enum):
@@ -134,12 +134,11 @@ def crosscheck_symbols(ideal: RegularIdeal, diagram: Optional[Diagram] = None) -
         diagram = build_diagram(ideal)
     n = ideal.n
     cross_set = set(diagram.crosses)
-    products = [
-        _reflection_product(n, [r for r in diagram.crosses if r[1] <= t]) for t in range(n)
-    ]
+    prefixes = _column_prefixes(n, diagram.crosses)
     for eta in positive_roots(n):
-        before = products[eta[1] - 1].sends_positive(eta)
-        after = products[eta[1]].sends_positive(eta)
+        b, t = eta
+        before = prefixes[t - 1][b - 1] > prefixes[t - 1][t - 1]
+        after = prefixes[t][b - 1] > prefixes[t][t - 1]
         if before and after:
             derived = Symbol.BULLET
         elif not before and not after:

@@ -57,11 +57,10 @@ class InvariantRecord:
 
 
 def _record(
-    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData, column
+    ideal: RegularIdeal, crosses: Sequence[Root], data: weyl.CrossData
 ) -> InvariantRecord:
     """Assemble the record for one cross, checking every structural
-    expectation along the way (raises ConstructionError on violation).
-    ``column`` holds the per-column reflection products of ``crosses``."""
+    expectation along the way (raises ConstructionError on violation)."""
     xi = data.xi
     spec = MinorSpec(data.rows, data.cols)
     degree, top = minor_top(ideal, spec)
@@ -73,7 +72,7 @@ def _record(
         if degree != 0:
             raise ConstructionError(f"case-1 minor of {xi} has degree {degree}")
     else:
-        d_star = weyl._segment_data(ideal, crosses, data, column).d_star
+        d_star = weyl.segment_data(ideal, crosses, data).d_star
         if degree != d_star:
             raise ConstructionError(
                 f"minor of {xi} has degree {degree}, segment data predicts {d_star}"
@@ -97,7 +96,7 @@ def invariant_for(ideal: RegularIdeal, crosses: Sequence[Root], xi: Root) -> Inv
     it is not one, ConstructionError on a structural violation)."""
     for data in weyl.cross_data(ideal.n, crosses):
         if data.xi == tuple(xi):
-            return _record(ideal, crosses, data, weyl._column_products(ideal.n, crosses))
+            return _record(ideal, crosses, data)
     raise InputError(f"{xi} is not a cross of the diagram")
 
 
@@ -108,9 +107,8 @@ def all_invariants(
     ``diagram`` may pass in the ideal's already built diagram."""
     if diagram is None:
         diagram = build_diagram(ideal)
-    column = weyl._column_products(ideal.n, diagram.crosses)
     return [
-        _record(ideal, diagram.crosses, data, column)
+        _record(ideal, diagram.crosses, data)
         for data in weyl.cross_data(ideal.n, diagram.crosses)
     ]
 

@@ -3,12 +3,15 @@ and the segment data that predicts characteristic-minor degrees.
 
 Products of transpositions written left to right in decreasing root order
 are applied rightmost first, so ``reflection_product([r1, r2])`` sends ``x``
-to ``r1(r2(x))``.
+to ``r1(r2(x))``.  One swap loop, ``_column_prefixes``, builds every such
+product: the products over the columns up to t, for each t, from which
+``reflection_product``, the symbol cross-check and the chains read.
+``cross_data`` keeps its own running swap, since it checks each cross as
+it goes.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,17 +72,26 @@ def reflection_product(n: int, roots: Sequence[Root]) -> Permutation:
     The list must be strictly decreasing in the column order.
     """
     _check_decreasing(n, roots)
-    return _reflection_product(n, roots)
+    return Permutation(_column_prefixes(n, roots)[-1])
 
 
-def _reflection_product(n: int, roots: Sequence[Root]) -> Permutation:
-    """``reflection_product`` with none of its checks, for roots that a
-    built diagram already holds in decreasing order."""
+def _column_prefixes(n: int, roots: Sequence[Root]) -> list[tuple[int, ...]]:
+    """One-line images of the products over the roots in columns up to t,
+    for t = 0..n; entry 0 is the identity.
+
+    No checks: the roots must already be in decreasing order, so that their
+    columns never fall.
+    """
     images = list(range(1, n + 1))
-    # Composing with a transposition on the right swaps two one-line entries.
+    prefixes = [tuple(images)]
     for i, j in roots:
+        while len(prefixes) < j:
+            prefixes.append(tuple(images))
+        # Composing with a transposition on the right swaps two one-line entries.
         images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return Permutation(tuple(images))
+    while len(prefixes) <= n:
+        prefixes.append(tuple(images))
+    return prefixes
 
 
 def column_max_permutation(ideal: RegularIdeal) -> Permutation:
@@ -158,51 +170,38 @@ def cross_data(n: int, crosses: Sequence[Root]) -> tuple[CrossData, ...]:
     return tuple(result)
 
 
-def _column_products(n: int, crosses: Sequence[Root]):
-    """The product over each column's crosses, built on first use and then
-    shared by every chain that passes the column."""
-    return functools.cache(
-        lambda t: reflection_product(n, [r for r in crosses if r[1] == t])
-    )
-
-
-def _through(n: int, crosses: Sequence[Root], xi: Root) -> Permutation:
-    """Product over the crosses of xi's column down to xi."""
-    return reflection_product(
-        n, [r for r in crosses if r[1] == xi[1] and prec_key(r) <= prec_key(xi)]
-    )
-
-
-def _descend_once(t: int, v: int, through: Permutation, column):
+def _descend_once(t: int, v: int, prefixes: Sequence[tuple[int, ...]]):
     """One chain step from v for a cross in column t: run the reflection
     sequence down the columns and return the first value below v, or None
     when nothing descends.
 
-    The running value can only grow while it stays at or above v (it jumps
-    up through crosses in its row); the first drop lands on the index of
-    the column that produced it, and later values are irrelevant.
+    With P_c the product over the columns up to c (``prefixes[c]``, taken
+    over the crosses up to the cross, so that ``prefixes[t]`` is the
+    product W through it), the value after column c is P_(c-1)^-1(W(v))
+    for c = t, ..., 1 when v > t, and P_(c-1)^-1(P_(v-1)(v)) for
+    c = v-1, ..., 1 when v <= t.  The running value only rises while it
+    stays at or above v (it jumps up through crosses in its row); the
+    first drop lands on the index of the column that produced it, and
+    later values are irrelevant.
     """
     if v > t:
-        u = through(v)
-        if u < v:
-            return u
-        start = t - 1
+        x, top = prefixes[t][v - 1], t
     else:
-        u = v
-        start = v - 1
-    for c in range(start, 0, -1):
-        u = column(c)(u)
+        x, top = prefixes[v - 1][v - 1], v - 1
+    for c in range(top, 0, -1):
+        # P^-1(x) is the position of x in P's one-line images.
+        u = prefixes[c - 1].index(x) + 1
         if u < v:
             return u
     return None
 
 
-def _chain(data: CrossData, i: int, through: Permutation, column) -> list[int]:
+def _chain(data: CrossData, i: int, prefixes: Sequence[tuple[int, ...]]) -> list[int]:
     c, h = data.cols[0], data.h
     chain = [i]
     v = i
     while not (c <= v < h):
-        nxt = _descend_once(data.xi[1], v, through, column)
+        nxt = _descend_once(data.xi[1], v, prefixes)
         if nxt is None:
             raise InputError(f"row {v} admits no descent for cross {data.xi}")
         chain.append(nxt)
@@ -251,15 +250,8 @@ def segment_data(
     ideal: RegularIdeal, crosses: Sequence[Root], data: CrossData
 ) -> SegmentData:
     """Chains, chained/unchained split, and the degree prediction d_star for
-    the case-2 cross ``data`` describes."""
-    return _segment_data(ideal, crosses, data, _column_products(ideal.n, crosses))
-
-
-def _segment_data(
-    ideal: RegularIdeal, crosses: Sequence[Root], data: CrossData, column
-) -> SegmentData:
-    """``segment_data`` on the column products ``column``, which the crosses
-    of one diagram share."""
+    the case-2 cross ``data`` describes.  The crosses up to ``data.xi``
+    must be strictly decreasing."""
     n = ideal.n
     xi = data.xi
     k, t = xi
@@ -277,8 +269,10 @@ def _segment_data(
     if any(i > col_end for i in i_star):
         raise ConstructionError(f"extra rows of {xi} leave the column window")
 
-    through = _through(n, crosses, xi)
-    chains = tuple(tuple(_chain(data, i, through, column)) for i in i_star)
+    upto = [r for r in crosses if prec_key(r) <= prec_key(xi)]
+    _check_decreasing(n, upto)
+    prefixes = _column_prefixes(n, upto)
+    chains = tuple(tuple(_chain(data, i, prefixes)) for i in i_star)
     covered: set[int] = set()
     for chain in chains:
         if covered & set(chain):

@@ -1,7 +1,8 @@
 """Shared test fixtures: the n=7 reference instance, random regular ideals,
 small tools the library does not need (root sums, group-element products
 and inverses, problem documents, span membership of rows and polynomials, the
-distinct-prime point), and independent oracles (permutation-sum
+distinct-prime point), and independent oracles (descent chains from
+per-column reflection products, permutation-sum
 determinant, brute inversion count, Fraction Gauss-Jordan elimination,
 partial derivatives, the generator bracket and the Jacobian rank in
 polynomial arithmetic, per-monomial bracket oracle, dense coadjoint
@@ -32,6 +33,7 @@ from regfactor import (
     coadjoint_act,
     positive_roots,
     prec_key,
+    reflection_product,
 )
 from regfactor.linalg import nullspace
 
@@ -293,6 +295,41 @@ def reduce_mod_ideal(p: Polynomial, ideal: RegularIdeal) -> Polynomial:
         if all(r not in ideal for r, _ in mono)
     }
     return Polynomial(out)
+
+
+def reference_chains(n: int, crosses, data) -> tuple[tuple[int, ...], ...]:
+    """The descent chain of every extra row of the case-2 cross ``data``,
+    stepped one column product at a time: the product over the crosses of
+    the cross's column down to it, then the product over each column to its
+    left.  A row v <= t starts at column v-1.  Raises the library's
+    InputError when a row admits no descent."""
+    k, t = data.xi
+    through = reflection_product(
+        n, [r for r in crosses if r[1] == t and prec_key(r) <= prec_key(data.xi)]
+    )
+    columns = [reflection_product(n, [r for r in crosses if r[1] == c]) for c in range(t)]
+
+    def descend(v):
+        if v > t:
+            u = through(v)
+            if u < v:
+                return u
+            start = t - 1
+        else:
+            u, start = v, v - 1
+        for c in range(start, 0, -1):
+            u = columns[c](u)
+            if u < v:
+                return u
+        raise InputError(f"row {v} admits no descent for cross {data.xi}")
+
+    chains = []
+    for i in data.rows[t - data.h + 1:]:
+        chain = [i]
+        while not (data.cols[0] <= chain[-1] < data.h):
+            chain.append(descend(chain[-1]))
+        chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def count_inversions_brute(images) -> int:

@@ -41,10 +41,6 @@ UNREFERENCED_OK = {
     # pass over the crosses instead; the benchmark's per-layer metric
     # invariants.invariant_for.calls names this function.
     "invariant_for",
-    # The chain bookkeeping of one case-2 cross.  The library calls the
-    # private form, which takes the column products that the crosses of
-    # one diagram share.
-    "segment_data",
     # Poisson annihilation and the coadjoint trials on any records, a
     # hand-made one included.  full_report calls the private form, which
     # takes the terms it compiles once for the Jacobian rows as well.

@@ -1,5 +1,6 @@
 """Permutations, reflection products, chains, and segment data."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from helpers import (
     identity_permutation,
     n7_ideal,
     random_ideals,
+    reference_chains,
 )
 
 
@@ -154,12 +156,77 @@ def test_descent_chain_takes_first_drop():
     assert data.d_star == 1
 
 
+def test_chains_match_the_column_by_column_reference():
+    # every case-2 cross of every regular ideal with n <= 8, against chains
+    # stepped one column product at a time; for n <= 6 also with each cross
+    # in turn dropped from the list, where the chains or the error must
+    # still agree
+    crosses_seen = steps = 0
+    for n in range(1, 9):
+        for ideal in all_regular_ideals(n):
+            crosses = build_diagram(ideal).crosses
+            for data in cross_data(n, crosses):
+                if data.case != 2:
+                    continue
+                chains = segment_data(ideal, crosses, data).chains
+                assert chains == reference_chains(n, crosses, data)
+                crosses_seen += 1
+                steps += sum(len(chain) - 1 for chain in chains)
+                if n > 6:
+                    continue
+                for m in range(len(crosses)):
+                    dropped = crosses[:m] + crosses[m + 1:]
+                    try:
+                        expected = reference_chains(n, dropped, data)
+                    except InputError as exc:
+                        with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                            segment_data(ideal, dropped, data)
+                    else:
+                        assert segment_data(ideal, dropped, data).chains == expected
+    assert (crosses_seen, steps) == (1103, 2674)
+
+
+def test_chains_skip_crosses_after_their_own():
+    # a cross below xi in its column comes after it and does not act on
+    # the chains; applied first, (5,4) would send row 5 to 4 and leave
+    # row 3 with no descent
+    ideal = close_ideal(6, [(5, 1), (6, 2)])
+    crosses = build_diagram(ideal).crosses
+    assert crosses == ((4, 1), (5, 2), (6, 3), (6, 4))
+    data = next(d for d in cross_data(6, crosses) if d.xi == (6, 4))
+    assert segment_data(ideal, crosses + ((5, 4),), data).chains == ((5, 2), (6, 4, 1))
+
+
+def test_chain_reports_a_row_with_no_descent():
+    # without the cross (3,1), row 3 never falls below itself
+    ideal = close_ideal(4, [(4, 1)])
+    crosses = build_diagram(ideal).crosses
+    assert crosses == ((3, 1), (4, 2), (4, 3))
+    data = next(d for d in cross_data(4, crosses) if d.xi == (4, 3))
+    message = r"^row 3 admits no descent for cross \(4, 3\)$"
+    with pytest.raises(InputError, match=message):
+        segment_data(ideal, ((4, 2), (4, 3)), data)
+    # with (3,2) added, row 3 starts in column 2 from its image under the
+    # crosses of columns 1 and 2, 4, and never drops; starting from 3
+    # itself would fall to 1 through (3,1)
+    with pytest.raises(InputError, match=message):
+        segment_data(ideal, ((3, 1), (4, 2), (3, 2), (4, 3)), data)
+
+
 def test_segment_data_case1_rejected():
     ideal = close_ideal(4, [])
     crosses = build_diagram(ideal).crosses
     case1 = next(d for d in cross_data(4, crosses) if d.xi == (3, 2))
     with pytest.raises(InputError):
         segment_data(ideal, crosses, case1)
+
+
+def test_segment_data_rejects_unordered_crosses():
+    # the chains read products over column prefixes, which need the crosses
+    # in decreasing order
+    unordered = ((6, 2), (4, 1), (7, 3), (7, 4), (5, 4))
+    with pytest.raises(InputError, match="^reflection list must be strictly decreasing$"):
+        segment_data(n7_ideal(), unordered, n7_cross((7, 4)))
 
 
 def test_reflection_product_equals_column_max_everywhere():

@@ -120,7 +120,6 @@ def cmd_verify(ideal: roots.RegularIdeal, args) -> int:
         trials=args.trials,
         seed=args.seed,
         max_degree=args.max_degree,
-        oracle_budget=args.budget,
     )
     _emit(report.to_json(), "\n".join(report.lines()), args.format)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
@@ -182,7 +181,7 @@ _COMMANDS = {
     "permutation": (cmd_permutation, "column-max permutation data", ()),
     "invariants": (cmd_invariants, "per-cross invariant records", ()),
     "verify": (cmd_verify, "run the full verification report",
-               ("--seed", "--trials", "--max-degree", "--budget")),
+               ("--seed", "--trials", "--max-degree")),
     "extremal-scan": (cmd_extremal_scan, "enumerate extremal minors",
                       ("--budget", "--max-size")),
     "orbit-stats": (cmd_orbit_stats, "skew form rank at the distinct-prime point", ()),

@@ -5,8 +5,9 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-# The budget of every budgeted call (oracle monomials, extremal-scan specs)
-# and of the CLI's --budget flag.
+# The budget of every budgeted call (oracle monomials, extremal-scan specs),
+# the default of the oracle's and extremal-scan's --budget flag, and the
+# monomial count above which the report skips its oracle line.
 DEFAULT_BUDGET = 100000
 
 _INT = frozenset({int})
@@ -47,15 +48,14 @@ def require_ints(values: Iterable, message: str, *args) -> None:
         raise InputError(message.format(*args))
 
 
-def _monomial_scan(variables: int, max_degree, budget, budget_name: str) -> int:
+def _monomial_scan(variables: int, max_degree, budget) -> int:
     """The number of nonconstant monomials of degree at most ``max_degree``
     in ``variables`` variables: the bound the oracle's budget caps, not the
     work it does, since its support walk and rounds build far fewer.
     Raises InputError first unless ``max_degree`` and ``budget`` are ints,
-    ``max_degree`` at least 1 and ``budget`` at least 0; ``budget_name``
-    names the budget's argument."""
+    ``max_degree`` at least 1 and ``budget`` at least 0."""
     require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
-    require_ints((budget,), budget_name + " must be an integer, got {!r}", budget)
+    require_ints((budget,), "budget must be an integer, got {!r}", budget)
     if max_degree < 1:
         raise InputError("max_degree must be at least 1")
     if budget < 0:

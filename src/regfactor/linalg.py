@@ -1,28 +1,16 @@
-"""Exact linear algebra on integer matrices.
+"""Exact linear algebra on integer matrices: the elimination kernel behind
+the oracle and the report's ranks.
 
-Rank and nullspace both run on one fraction-free elimination (Bareiss
-1968) over the integers.  Nullspace takes the full Gauss-Jordan reduction;
-rank runs only its forward pass, which clears the rows below each pivot and
-already counts the pivots.
-Entries must be ``int``; any other type raises InputError.
+Rank and kernel both run on one fraction-free elimination (Bareiss 1968)
+over the integers.  The kernel takes the full Gauss-Jordan reduction; rank
+runs only its forward pass, which clears the rows below each pivot and
+already counts the pivots.  The module reads only rows the library built
+itself, lists of ``n_cols`` ints, and checks none of them.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
-from typing import Sequence
-
-from .errors import InputError, require_ints
-
-
-def _integer_rows(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
-    out = [list(row) for row in rows]
-    for row in out:
-        if len(row) != n_cols:
-            raise InputError(f"row of length {len(row)} in a matrix of {n_cols} columns")
-    require_ints(chain.from_iterable(out), "matrix entries must be integers")
-    return out
 
 
 def _eliminate(m: list[list[int]], n_cols: int, reduce: bool = True) -> list[int]:
@@ -73,35 +61,20 @@ def _eliminate(m: list[list[int]], n_cols: int, reduce: bool = True) -> list[int
     return pivots
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank of an integer matrix: the pivot count of the forward elimination
-    pass alone, with no clearing above the pivots."""
-    n_cols = len(rows[0]) if rows else 0
-    return _rank(_integer_rows(rows, n_cols), n_cols)
-
-
 def _rank(m: list[list[int]], n_cols: int) -> int:
-    """``rank`` of rows the library built itself (lists of ``n_cols`` ints),
-    with none of its checks; ``m`` is changed in place."""
+    """Rank of ``m``: the pivot count of the forward elimination pass alone,
+    with no clearing above the pivots.  ``m`` is changed in place."""
     return len(_eliminate(m, n_cols, reduce=False))
 
 
-def nullspace(rows: Sequence[Sequence], n_cols: int) -> list[list[int]]:
-    """Basis of the right kernel, one vector per free column.
+def _kernel(m: list[list[int]], n_cols: int) -> list[list[int]]:
+    """Basis of the right kernel of ``m``, one vector per free column.
 
     Each vector is the one the reduced row echelon form gives for its free
     column (1 there, zero at the other free columns), scaled by a positive
-    factor to coprime integers.  ``n_cols`` is required so that an empty
-    equation list still knows the ambient dimension.
-    """
-    require_ints((n_cols,), "n_cols must be an integer, got {!r}", n_cols)
-    return _kernel(_integer_rows(rows, n_cols), n_cols)
-
-
-def _kernel(m: list[list[int]], n_cols: int) -> list[list[int]]:
-    """``nullspace`` of rows the library built itself, with none of its
-    checks: every row of ``m`` is a list of ``n_cols`` ints.  ``m`` is
-    reduced in place."""
+    factor to coprime integers.  ``n_cols`` is passed so that an empty
+    equation list still knows the ambient dimension.  ``m`` is reduced in
+    place."""
     pivots = _eliminate(m, n_cols)
     d = m[0][pivots[0]] if pivots else 1
     basis = []

@@ -65,7 +65,7 @@ def oracle_invariants(
     ``budget`` monomials.
     """
     variables = ideal.free_roots()
-    total = _monomial_scan(len(variables), max_degree, budget, "budget")
+    total = _monomial_scan(len(variables), max_degree, budget)
     if total > budget:
         raise BudgetError(f"oracle would scan {total} monomials, budget is {budget}")
     basis = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import InputError, require_ints
 
@@ -73,12 +73,6 @@ class RegularIdeal:
     def __contains__(self, root) -> bool:
         return tuple(root) in self.roots
 
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self) -> Iterator[Root]:
-        return iter(sorted(self.roots, key=prec_key))
-
     @property
     def dim(self) -> int:
         """Dimension of the factor algebra: number of roots outside the ideal."""
@@ -113,18 +107,8 @@ def close_ideal(n: int, generators: Iterable, strict: bool = False) -> RegularId
     """
     require_ints((n,), "matrix size must be an integer, got {!r}", n)
     gens = {check_root(n, g) for g in generators}
-    closed = set(gens)
-    queue = list(gens)
-    while queue:
-        i, j = queue.pop()
-        for m in range(1, j):
-            if (i, m) not in closed:
-                closed.add((i, m))
-                queue.append((i, m))
-        for k in range(i + 1, n + 1):
-            if (k, j) not in closed:
-                closed.add((k, j))
-                queue.append((k, j))
+    # The closure of (i,j) is the rectangle of every (k,t) with k >= i, t <= j.
+    closed = {(k, t) for i, j in gens for k in range(i, n + 1) for t in range(1, j + 1)}
     if strict and closed != gens:
         extra = sorted(closed - gens)[0]
         raise InputError(

@@ -528,18 +528,16 @@ def full_report(
     trials: int = 100,
     seed: int = 0,
     max_degree: int = 4,
-    oracle_budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
     """Run every checkable identity for one regular factor.
 
-    Raises InputError, before any check runs, when ``trials``, ``seed``,
-    ``max_degree`` or ``oracle_budget`` is not an int (a bool is not one),
-    when ``trials`` or ``max_degree`` is below 1, or when ``oracle_budget``
-    is below 0.
+    Raises InputError, before any check runs, when ``trials``, ``seed`` or
+    ``max_degree`` is not an int (a bool is not one), or when ``trials`` or
+    ``max_degree`` is below 1.  The oracle line is skipped when it would
+    scan more than ``DEFAULT_BUDGET`` monomials.
     """
     _check_trials(trials, seed)
-    oracle_size = _monomial_scan(len(ideal.free_roots()), max_degree, oracle_budget,
-                                 "oracle_budget")
+    oracle_size = _monomial_scan(len(ideal.free_roots()), max_degree, DEFAULT_BUDGET)
     report = VerificationReport()
     diagram = build_diagram(ideal)
     counts = diagram.counts()
@@ -649,8 +647,8 @@ def full_report(
 
     if not records_ok:
         skip("oracle_containment")
-    elif oracle_size > oracle_budget:
-        skip("oracle_containment", f"{oracle_size} monomials exceed budget {oracle_budget}")
+    elif oracle_size > DEFAULT_BUDGET:
+        skip("oracle_containment", f"{oracle_size} monomials exceed budget {DEFAULT_BUDGET}")
     else:
         def check_oracle():
             low = [k for k, r in enumerate(records) if r.invariant.degree() <= max_degree]

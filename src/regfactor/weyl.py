@@ -34,16 +34,6 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.images[x - 1]
 
-    def on_root(self, root: Root) -> tuple[int, int]:
-        """Image of a root pair: w(i,j) = (w(i), w(j))."""
-        i, j = root
-        return (self.images[i - 1], self.images[j - 1])
-
-    def sends_positive(self, root: Root) -> bool:
-        """Whether the image pair is still a positive root (first > second)."""
-        a, b = self.on_root(root)
-        return a > b
-
     def to_json(self) -> list[int]:
         return list(self.images)
 

@@ -35,7 +35,7 @@ from regfactor import (
     prec_key,
     reflection_product,
 )
-from regfactor.linalg import nullspace
+from regfactor import linalg
 
 # The n=7 instance with ideal generated by (5,1) and (7,2); its closure,
 # diagram, steps, crosses, and permutation are pinned from hand expansion.
@@ -164,13 +164,21 @@ def group_inverse(g: GroupElement) -> GroupElement:
     return GroupElement(tuple(map(tuple, inv)))
 
 
+def rank_of(rows, n_cols: int) -> int:
+    return linalg._rank([list(row) for row in rows], n_cols)
+
+
+def nullspace_of(rows, n_cols: int) -> list[list[int]]:
+    return linalg._kernel([list(row) for row in rows], n_cols)
+
+
 def in_span(vectors, targets) -> list[bool]:
     """Whether each of ``targets`` is a rational linear combination of
     ``vectors``: that is, whether it is orthogonal to every vector of their
-    kernel, so one ``linalg.nullspace`` call serves every target."""
+    kernel, so one ``nullspace_of`` call serves every target."""
     if not targets:
         return []
-    kernel = nullspace(vectors, len(targets[0]))
+    kernel = nullspace_of(vectors, len(targets[0]))
     return [not any(sum(k * x for k, x in zip(vec, t)) for vec in kernel) for t in targets]
 
 

@@ -315,7 +315,8 @@ def test_compiled_jacobian_matches_polynomial_derivatives():
             rows = [verify._gradient(verify._compile(p, position), x) for p in polys]
             for p, row in zip(polys, rows):
                 assert row == [derivative(p, root).evaluate(point.coords) for root in free]
-            assert linalg.rank(rows) == jacobian_rank(polys, point.coords), sorted(ideal.roots)
+            found = linalg._rank([list(row) for row in rows], len(free))
+            assert found == jacobian_rank(polys, point.coords), sorted(ideal.roots)
 
 
 def _trials_doc(records, ideal, trials, seed):
@@ -463,7 +464,6 @@ def test_counts_and_seeds_must_be_ints(value):
         (lambda v: full_report(ideal, trials=v), "trials"),
         (lambda v: full_report(ideal, seed=v), "seed"),
         (lambda v: full_report(ideal, max_degree=v), "max_degree"),
-        (lambda v: full_report(ideal, oracle_budget=v), "oracle_budget"),
         (lambda v: oracle_invariants(ideal, v), "max_degree"),
         (lambda v: oracle_invariants(ideal, 2, budget=v), "budget"),
     ]
@@ -675,9 +675,12 @@ def test_full_report_json_round_trip():
 
 
 def test_full_report_skips_oracle_over_budget():
-    report = full_report(close_ideal(4, []), trials=2, seed=0, oracle_budget=3)
-    entry = next(c for c in report.checks if c.name == "oracle_containment")
-    assert entry.status == "skipped"
+    # At degree 6 the reference's 17 variables give more monomials than the
+    # default budget, so the report skips its oracle line.
+    report = full_report(n7_ideal(), max_degree=6)
+    assert report.lines()[-1] == (
+        "SKIPPED oracle_containment (100946 monomials exceed budget 100000)"
+    )
     assert report.passed  # skipped entries do not fail the report
 
 

@@ -17,7 +17,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import diagram, invariants, minors, oracle, roots, verify, weyl
-from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_ints
+from .errors import DEFAULT_BUDGET, BudgetError, ConstructionError, InputError, require_count
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -42,9 +42,7 @@ def load_problem(path: str, strict: bool = False) -> roots.RegularIdeal:
     if "n" not in doc or "ideal_generators" not in doc:
         raise InputError('problem file needs "n" and "ideal_generators"')
     n = doc["n"]
-    require_ints((n,), '"n" must be a positive integer, got {!r}', n)
-    if n < 1:
-        raise InputError(f'"n" must be a positive integer, got {n!r}')
+    require_count(n, '"n"', 1)
     generators = doc["ideal_generators"]
     if not isinstance(generators, list):
         raise InputError('"ideal_generators" must be a list of [i, j] pairs')

@@ -97,20 +97,20 @@ class Diagram:
 
 def build_diagram(ideal: RegularIdeal) -> Diagram:
     """Fill the grid for ``ideal`` and return the finished diagram."""
-    order = positive_roots(ideal.n)
     cells: dict[Root, tuple[Symbol, int]] = {
         root: (Symbol.BULLET, 0) for root in ideal.roots
     }
     crosses: list[Root] = []
-    step = 0
-    while True:
-        empty = next((r for r in order if r not in cells), None)
-        if empty is None:
-            break
-        step += 1
-        k, t = empty
-        cells[empty] = (Symbol.CROSS, step)
-        crosses.append(empty)
+    # A step at (k,t) fills only cells (k,a) of later columns and (a,t) above
+    # it in column t, all of which come after (k,t) in the order, so one pass
+    # meets each step's greatest empty cell in turn.
+    for root in positive_roots(ideal.n):
+        if root in cells:
+            continue
+        crosses.append(root)
+        step = len(crosses)
+        k, t = root
+        cells[root] = (Symbol.CROSS, step)
         for a in range(t + 1, k):
             row_cell, col_cell = (k, a), (a, t)
             if row_cell not in cells and col_cell not in cells:

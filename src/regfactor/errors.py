@@ -1,4 +1,9 @@
-"""Exception types, the default work budget, and the one rule for numbers."""
+"""Exception types, the default work budget, and the rules for numbers.
+
+Every number a caller passes must be an ``int``: a bool, a float or a
+rational is rejected, never coerced (``require_ints``).  Every count, size,
+budget, index or exponent must also reach a minimum (``require_count``).
+"""
 
 from __future__ import annotations
 
@@ -48,16 +53,20 @@ def require_ints(values: Iterable, message: str, *args) -> None:
         raise InputError(message.format(*args))
 
 
+def require_count(value, name: str, low: int) -> None:
+    """Raise InputError unless ``value`` is an ``int`` of at least ``low``;
+    ``name`` opens the message."""
+    require_ints((value,), "{} must be an integer, got {!r}", name, value)
+    if value < low:
+        raise InputError(f"{name} must be at least {low}")
+
+
 def _monomial_scan(variables: int, max_degree, budget) -> int:
     """The number of nonconstant monomials of degree at most ``max_degree``
     in ``variables`` variables: the bound the oracle's budget caps, not the
     work it does, since its support walk and rounds build far fewer.
     Raises InputError first unless ``max_degree`` and ``budget`` are ints,
     ``max_degree`` at least 1 and ``budget`` at least 0."""
-    require_ints((max_degree,), "max_degree must be an integer, got {!r}", max_degree)
-    require_ints((budget,), "budget must be an integer, got {!r}", budget)
-    if max_degree < 1:
-        raise InputError("max_degree must be at least 1")
-    if budget < 0:
-        raise InputError("budget must be at least 0")
+    require_count(max_degree, "max_degree", 1)
+    require_count(budget, "budget", 0)
     return comb(variables + max_degree, max_degree) - 1 if variables else 0

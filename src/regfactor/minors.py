@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .errors import DEFAULT_BUDGET, BudgetError, InputError, require_ints
+from .errors import DEFAULT_BUDGET, BudgetError, InputError, require_count, require_ints
 from .poly import Polynomial
 from .roots import RegularIdeal, Root, prec_key
 
@@ -148,9 +148,7 @@ def shift_spec(spec: MinorSpec, i: int, direction: Direction) -> Optional[MinorS
     """One-step shift: replace row i by i+1 (down) when i is a row and i+1
     is not, or column i+1 by i (left) when i+1 is a column and i is not.
     Returns None in all other cases."""
-    require_ints((i,), "shift index must be an integer, got {!r}", i)
-    if i < 1:
-        raise InputError(f"shift index must be positive, got {i}")
+    require_count(i, "shift index", 1)
     if direction not in ("down", "left"):
         raise InputError(f"unknown shift direction {direction!r}")
     shifted = _shift(spec, i, direction)
@@ -209,13 +207,9 @@ def enumerate_extremal(
     results attached, flagged invalid) when the scan would examine more
     candidate specs than ``budget``.
     """
-    require_ints((budget,), "budget must be an integer, got {!r}", budget)
+    require_count(budget, "budget", 0)
     if max_size is not None:
-        require_ints((max_size,), "max_size must be an integer, got {!r}", max_size)
-        if max_size < 1:
-            raise InputError("max_size must be at least 1")
-    if budget < 0:
-        raise InputError("budget must be at least 0")
+        require_count(max_size, "max_size", 1)
     n = ideal.n
     max_size = n if max_size is None else min(max_size, n)
     results: list[MinorSpec] = []

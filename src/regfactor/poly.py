@@ -18,7 +18,7 @@ from itertools import groupby
 from numbers import Number
 from typing import Mapping, Optional, Sequence
 
-from .errors import InputError, require_ints
+from .errors import InputError, require_count, require_ints
 from .roots import RegularIdeal, Root, prec_key
 
 Monomial = tuple[tuple[Root, int], ...]
@@ -172,9 +172,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        require_ints((exponent,), "polynomial powers take non-negative integers")
-        if exponent < 0:
-            raise InputError("polynomial powers take non-negative integers")
+        require_count(exponent, "exponent", 0)
         result = Polynomial.constant(1)
         base = self
         while exponent:

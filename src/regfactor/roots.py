@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InputError, require_ints
+from .errors import InputError, require_count, require_ints
 
 Root = tuple[int, int]
 
@@ -59,9 +59,7 @@ class RegularIdeal:
     roots: frozenset[Root]
 
     def __post_init__(self):
-        require_ints((self.n,), "matrix size must be an integer, got {!r}", self.n)
-        if self.n < 1:
-            raise InputError(f"matrix size must be >= 1, got {self.n}")
+        require_count(self.n, "matrix size", 1)
         for root in self.roots:
             check_root(self.n, root)
         missing = _closure_deficit(self.n, self.roots)
@@ -88,14 +86,14 @@ class RegularIdeal:
 
 
 def _closure_deficit(n: int, roots) -> Optional[tuple[Root, Root]]:
-    """First (member, missing sum) pair violating closure, or None if closed."""
+    """First (member, missing neighbour) pair violating closure, or None if
+    closed.  A set holding the left neighbour (i,j-1) and the lower
+    neighbour (i+1,j) of each member holds its whole row to the left and
+    column below, so only those two cells are tested."""
     for (i, j) in roots:
-        for m in range(1, j):
-            if (i, m) not in roots:
-                return ((i, j), (i, m))
-        for k in range(i + 1, n + 1):
-            if (k, j) not in roots:
-                return ((i, j), (k, j))
+        for cell in ((i, j - 1), (i + 1, j)):
+            if cell[1] >= 1 and cell[0] <= n and cell not in roots:
+                return ((i, j), cell)
     return None
 
 

@@ -21,7 +21,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .diagram import build_diagram, crosscheck_symbols
-from .errors import DEFAULT_BUDGET, ConstructionError, InputError, _monomial_scan, require_ints
+from .errors import DEFAULT_BUDGET, ConstructionError, InputError, _monomial_scan
+from .errors import require_count, require_ints
 from .invariants import InvariantRecord, all_invariants, triangular_decomposition
 from .oracle import _containment
 from .poly import Polynomial, _bracket_table, _generator_moves, _monomial, _Moves
@@ -122,9 +123,7 @@ class GroupElement:
         """Entries below the diagonal drawn in row order.  Raises InputError,
         before drawing, unless ``n`` is an int (a bool is not one) and at
         least 1."""
-        require_ints((n,), "n must be an integer, got {!r}", n)
-        if n < 1:
-            raise InputError("n must be at least 1")
+        require_count(n, "n", 1)
         return cls(_unitriangular(n, _draws(rng, n * (n - 1) // 2)))
 
     @property
@@ -284,10 +283,8 @@ class VerificationReport:
 
 
 def _check_trials(trials: int, seed: int) -> None:
-    require_ints((trials,), "trials must be an integer, got {!r}", trials)
+    require_count(trials, "trials", 1)
     require_ints((seed,), "seed must be an integer, got {!r}", seed)
-    if trials < 1:
-        raise InputError("at least one trial is required")
 
 
 def check_invariance(

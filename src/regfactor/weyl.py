@@ -97,7 +97,7 @@ def column_max_permutation(ideal: RegularIdeal) -> Permutation:
         i = max(
             i
             for i in range(1, n + 1)
-            if i not in used and (i <= t or (i, t) not in ideal)
+            if i not in used and (i, t) not in ideal
         )
         used.add(i)
         images.append(i)
@@ -249,7 +249,7 @@ def segment_data(
     if data.case != 2:
         raise InputError(f"segment data is defined only for case-2 crosses, {xi} is case 1")
     c = cols[0]
-    col_end = max(i for i in range(1, n + 1) if i <= t or (i, t) not in ideal)
+    col_end = max(i for i in range(1, n + 1) if (i, t) not in ideal)
     # The case-2 rows are [h,t] followed by the rows above t whose image
     # falls below h.
     i_star = data.rows[t - h + 1:]

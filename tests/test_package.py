@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 import regfactor
 from regfactor import (
+    BudgetError,
     DualPoint,
     GroupElement,
     InputError,
@@ -32,6 +34,8 @@ from regfactor import (
     reflection_product,
     shift_spec,
 )
+from regfactor.cli import load_problem
+from regfactor.errors import _monomial_scan
 from regfactor.roots import check_root
 
 # Public names, functions and methods ("Class.method") that no code under
@@ -282,3 +286,41 @@ def test_every_number_entry_rejects_non_ints(entry, value):
     with pytest.raises(InputError):
         _NUMBER_ENTRIES[entry](value)
     _NUMBER_ENTRIES[entry](2)
+
+
+def _load_n(n):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "problem.json"
+        path.write_text(json.dumps({"n": n, "ideal_generators": []}), encoding="utf-8")
+        return load_problem(str(path))
+
+
+# Each count, size, budget, index or exponent a caller passes: the name its
+# messages give it, its minimum, and a call with the value v in its place.
+_COUNT_ENTRIES = {
+    "load_problem.n": ('"n"', 1, _load_n),
+    "RegularIdeal": ("matrix size", 1, lambda v: RegularIdeal(v, frozenset())),
+    "GroupElement.random": ("n", 1, lambda v: GroupElement.random(v, random.Random(0))),
+    "shift_spec": ("shift index", 1, lambda v: shift_spec(_SPEC, v, "down")),
+    "enumerate_extremal.budget": ("budget", 0, lambda v: enumerate_extremal(_TRIVIAL, budget=v)),
+    "enumerate_extremal.max_size": ("max_size", 1, lambda v: enumerate_extremal(_IDEAL, max_size=v)),
+    "_monomial_scan.max_degree": ("max_degree", 1, lambda v: _monomial_scan(2, v, 0)),
+    "_monomial_scan.budget": ("budget", 0, lambda v: _monomial_scan(2, 1, v)),
+    "check_invariance.trials": ("trials", 1, lambda v: check_invariance([], _IDEAL, trials=v)),
+    "Polynomial.__pow__": ("exponent", 0, lambda v: _Y ** v),
+    "full_report.trials": ("trials", 1, lambda v: full_report(_IDEAL, trials=v)),
+    "full_report.max_degree": ("max_degree", 1, lambda v: full_report(_IDEAL, max_degree=v)),
+    "oracle_invariants.max_degree": ("max_degree", 1, lambda v: oracle_invariants(_IDEAL, v)),
+    "oracle_invariants.budget": ("budget", 0, lambda v: oracle_invariants(_TRIVIAL, 2, budget=v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRIES))
+def test_every_count_rejects_one_below_its_minimum_with_one_message(entry):
+    name, low, call = _COUNT_ENTRIES[entry]
+    with pytest.raises(InputError, match=f"^{name} must be at least {low}$"):
+        call(low - 1)
+    try:
+        call(low)
+    except BudgetError:
+        pass  # a zero budget runs out only after the count was accepted

@@ -1,6 +1,9 @@
 """Root order, partial addition, and ideal closure."""
 
+import ast
+import itertools
 import random
+import re
 
 import pytest
 
@@ -11,7 +14,7 @@ from regfactor import (
     positive_roots,
     prec_key,
 )
-from helpers import ideal_doc, random_ideal, root_sum
+from helpers import all_regular_ideals, ideal_doc, random_ideal, root_sum
 
 
 def test_order_examples():
@@ -120,6 +123,25 @@ def test_strict_mode():
 def test_non_closed_constructor_rejected():
     with pytest.raises(InputError):
         RegularIdeal(7, frozenset({(5, 1)}))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_constructor_accepts_exactly_the_regular_ideals(n):
+    # Every subset of the positive roots: the closed ones are the ideals the
+    # column-boundary construction lists, and each rejection cites a member
+    # and a missing left or lower neighbour of it.
+    roots = positive_roots(n)
+    accepted = set()
+    for size in range(len(roots) + 1):
+        for subset in map(frozenset, itertools.combinations(roots, size)):
+            try:
+                accepted.add(RegularIdeal(n, subset).roots)
+            except InputError as exc:
+                found = re.fullmatch(r"root set is not closed: (\(.*\)) requires (\(.*\))", str(exc))
+                (i, j), missing = map(ast.literal_eval, found.groups())
+                assert (i, j) in subset and missing not in subset
+                assert missing in {(i, j - 1), (i + 1, j)} & set(roots)
+    assert accepted == {ideal.roots for ideal in all_regular_ideals(n)}
 
 
 def test_free_roots_and_json_round_trip():

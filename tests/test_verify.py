@@ -476,7 +476,7 @@ def test_full_report_rejects_no_trials_before_any_check(monkeypatch):
     import regfactor.verify as verify
 
     monkeypatch.setattr(verify, "build_diagram", None)  # any work would fail
-    with pytest.raises(InputError, match="at least one trial"):
+    with pytest.raises(InputError, match="^trials must be at least 1$"):
         full_report(close_ideal(3, []), trials=0)
 
 
